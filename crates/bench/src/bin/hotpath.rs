@@ -1,7 +1,9 @@
 //! Locality hot-path benchmark: default vs `LayoutPlan`-optimized
 //! assembly, SpMV and pressure CG on the airway mesh, plus the RCM
 //! bandwidth reduction — the before/after evidence for DESIGN.md §9
-//! and the raw-speed pass of §14.
+//! and the raw-speed pass of §14 — and the set-up kernels of a run:
+//! particle injection, one particle transport step and k-way
+//! partitioning.
 //!
 //! Writes the usual text table to `results/BENCH_hotpath.txt` and a
 //! machine-readable `results/BENCH_hotpath.json` (per-routine name,
@@ -22,9 +24,10 @@
 use std::hint::black_box;
 
 use cfpd_bench::{emit, emit_json, json_rows};
-use cfpd_core::BoundaryConditions;
+use cfpd_core::{potential_flow, BoundaryConditions, SimulationConfig};
 use cfpd_mesh::{generate_airway, AirwaySpec, Mesh, Vec3};
-use cfpd_partition::{bandwidth_under_perm, csr_bandwidth, rcm_perm};
+use cfpd_partition::{bandwidth_under_perm, csr_bandwidth, partition_kway, rcm_perm, Graph};
+use cfpd_particles::{inject_at_inlet, step_particles, Locator, ParticleSet};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, assemble_momentum_batched, assemble_poisson, axpy_dot_fused, cg, cg_fused,
@@ -248,6 +251,71 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
     });
 }
 
+/// Particle location and partition growth: inlet injection of the
+/// `coupled_particles` benchmark shape (200,000 particles on the small
+/// airway at 3 generations), one transport step of those particles
+/// through the potential flow, and the 2-way rank partition of the
+/// `sync_airway` mesh (the default airway at 2 generations). `--quick`
+/// runs 20,000 particles and both on the small airway. Their JSON rows
+/// carry the main mesh's `elements`, like every other row.
+fn bench_particles_and_partition(b: &mut Bench, quick: bool) {
+    let (particle_spec, count, kway_spec) = if quick {
+        (AirwaySpec::small(), 20_000, AirwaySpec::small())
+    } else {
+        (
+            AirwaySpec { generations: 3, ..AirwaySpec::small() },
+            200_000,
+            AirwaySpec { generations: 2, ..AirwaySpec::default() },
+        )
+    };
+    let cfg = SimulationConfig::default();
+    let am = generate_airway(&particle_spec).expect("airway mesh");
+    let locator = Locator::new(&am.mesh);
+    let inject = |set: &mut ParticleSet| {
+        inject_at_inlet(
+            set,
+            &locator,
+            am.inlet_center,
+            am.inlet_direction,
+            am.inlet_radius,
+            cfg.inflow_speed,
+            cfg.particle,
+            count,
+            cfg.seed,
+        )
+    };
+    b.bench("particles/inject", || {
+        let mut set = ParticleSet::default();
+        black_box(inject(&mut set));
+        black_box(set);
+    });
+    let mut injected = ParticleSet::default();
+    inject(&mut injected);
+    let flow = potential_flow(&am, cfg.inflow_speed);
+    b.bench_batched(
+        "particles/step",
+        || injected.clone(),
+        |mut set| {
+            let stats = step_particles(
+                &mut set,
+                &locator,
+                &flow,
+                cfg.fluid.density,
+                cfg.fluid.viscosity,
+                Vec3::new(0.0, 0.0, -9.81),
+                cfg.dt,
+            );
+            black_box((set, stats.moved));
+        },
+    );
+
+    let mesh = generate_airway(&kway_spec).expect("airway mesh").mesh;
+    let g = Graph::from_csr(&mesh.element_adjacency(&mesh.node_to_elements()), mesh.cost_weights());
+    b.bench("partition/kway", || {
+        black_box(partition_kway(&g, 2, 4));
+    });
+}
+
 fn median_ns(rows: &[(String, BenchStats)], name: &str) -> f64 {
     rows.iter()
         .find(|(n, _)| n == name)
@@ -403,6 +471,7 @@ fn main() {
     let (m_rcm, rhs_rcm) = pressure_system(&mesh_rcm, &pool);
     bench_spmv_and_cg(&mut b, "rcm-order", &m_rcm, &rhs_rcm, &pool);
     bench_phases(&mut b, &mesh, &m_native, &pool);
+    bench_particles_and_partition(&mut b, quick);
 
     let e2e = end_to_end(b.rows());
     if !quick {

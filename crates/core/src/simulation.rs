@@ -10,7 +10,7 @@ use cfpd_dlb::{DlbCluster, DlbPolicy, DlbStats, GrantPolicy, LendPolicy};
 use cfpd_hetero::{ImbalancePredictor, PredictorConfig};
 use cfpd_mesh::{generate_airway, Vec3};
 use cfpd_particles::{
-    inject_at_inlet, step_particles, Locator, ParticleCensus, ParticleProps, ParticleSet,
+    inject_at_inlet, step_particles, LocatorIndex, ParticleCensus, ParticleProps, ParticleSet,
     ParticleState,
 };
 use cfpd_partition::{partition_kway, Graph};
@@ -23,7 +23,7 @@ use cfpd_testkit::digest::{digest_f64s, Digest};
 use cfpd_trace::{
     carve_states, phase_breakdown, ChaosKind, DlbMarkKind, Phase, PhaseRow, Trace, WorkerState,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Everything beyond the basic `(ranks, threads, dlb)` knobs of a run:
@@ -400,6 +400,7 @@ pub fn run_simulation_fallible(
         predictor,
         cluster: Arc::clone(&cluster),
         profiled: profiled.clone(),
+        locator: OnceLock::new(),
     };
 
     let results = Universe::run_fallible(n_ranks, hooks, move |comm| {
@@ -515,6 +516,11 @@ struct StepWindow {
     /// so the predictor's demand model sees the emulated slowness as
     /// compute (the stalls *stand in* for slower compute).
     profiled: Option<Arc<ProfileHooks>>,
+    /// The run's one particle-location index over the shared airway,
+    /// built by the first rank that needs it and borrowed by the rest
+    /// (fluid-only coupled ranks never touch it, so their set-up is not
+    /// delayed by it).
+    locator: OnceLock<LocatorIndex>,
 }
 
 /// Per-rank result; only rank 0's value is meaningful (others return
@@ -539,7 +545,7 @@ fn rank_main(
     match config.mode {
         ExecutionMode::Synchronous => sync_rank(config, airway, pool, comm, window),
         ExecutionMode::Coupled { fluid, particles } => {
-            coupled_rank(config, airway, pool, comm, fluid, particles, window.epoch)
+            coupled_rank(config, airway, pool, comm, fluid, particles, window)
         }
     }
 }
@@ -611,7 +617,7 @@ fn sync_rank(
         config.solver_max_iters,
         config.layout,
     );
-    let locator = Locator::new(mesh);
+    let locator = window.locator.get_or_init(|| LocatorIndex::new(mesh)).locator(mesh);
 
     let mut mine = ParticleSet::default();
     let start_step = match &window.restore {
@@ -663,6 +669,8 @@ fn sync_rank(
     let mut trace = Trace::new(n);
     let mut logical = Vec::new();
     let mut captured: Option<RankCheckpoint> = None;
+    // Untraced, the timed region starts here, after partition, solver
+    // and particle set-up; traced, the shared run epoch predates them.
     let epoch = window.epoch.unwrap_or_else(std::time::Instant::now);
     let t = |epoch: std::time::Instant| epoch.elapsed().as_secs_f64();
     let capture = |fs: &FluidSolver, mine: &ParticleSet, trace: &mut Trace, now: f64| {
@@ -792,7 +800,7 @@ fn coupled_rank(
     comm: Comm,
     f: usize,
     p: usize,
-    shared_epoch: Option<Instant>,
+    window: &StepWindow,
 ) -> RankOut {
     assert_eq!(comm.size(), f + p, "coupled mode rank count");
     let mesh = &airway.mesh;
@@ -801,7 +809,9 @@ fn coupled_rank(
     let group = comm.split(usize::from(!is_fluid), world_rank);
     let mut trace = Trace::new(comm.size());
     let mut logical = Vec::new();
-    let epoch = shared_epoch.unwrap_or_else(std::time::Instant::now);
+    // The timed region starts before partition, solver and particle
+    // set-up (injection included), so `total` bills them as steps.
+    let epoch = window.epoch.unwrap_or_else(std::time::Instant::now);
     let t = |epoch: std::time::Instant| epoch.elapsed().as_secs_f64();
     let census;
 
@@ -854,7 +864,7 @@ fn coupled_rank(
     } else {
         // Particle code: owns all particles, partitioned among p ranks.
         let (_, owner) = partition_elements(mesh, p, group.rank());
-        let locator = Locator::new(mesh);
+        let locator = window.locator.get_or_init(|| LocatorIndex::new(mesh)).locator(mesh);
         let mut all = ParticleSet::default();
         inject_at_inlet(
             &mut all,

@@ -94,26 +94,40 @@ pub fn inject_at_inlet(
     count: usize,
     seed: u64,
 ) -> usize {
-    let mut rng = Rng::new(seed);
     let dir = inlet_direction.normalized();
-    let u = dir.any_orthogonal();
-    let v = dir.cross(u);
-    // Offset slightly inside the mesh so injection points land in
-    // elements rather than exactly on the inlet plane.
-    let base = inlet_center + dir * (inlet_radius * 0.1);
     let mut injected = 0usize;
-    for _ in 0..count {
-        // Uniform over the disc (sqrt radial distribution), shrunk to
-        // 90 % of the radius to avoid the wall edge.
-        let r = inlet_radius * 0.9 * rng.f64().sqrt();
-        let a = rng.f64() * std::f64::consts::TAU;
-        let p = base + u * (r * a.cos()) + v * (r * a.sin());
+    for p in inlet_points(inlet_center, dir, inlet_radius, count, seed) {
         if let Some(e) = locator.locate_global(p) {
             set.push(p, dir * initial_speed, e, props);
             injected += 1;
         }
     }
     injected
+}
+
+/// The `count` candidate injection points of [`inject_at_inlet`]:
+/// uniform over the inlet disc around `inlet_center`, normal to the unit
+/// direction `dir`.
+fn inlet_points(
+    inlet_center: Vec3,
+    dir: Vec3,
+    inlet_radius: f64,
+    count: usize,
+    seed: u64,
+) -> impl Iterator<Item = Vec3> {
+    let mut rng = Rng::new(seed);
+    let u = dir.any_orthogonal();
+    let v = dir.cross(u);
+    // Offset slightly inside the mesh so injection points land in
+    // elements rather than exactly on the inlet plane.
+    let base = inlet_center + dir * (inlet_radius * 0.1);
+    (0..count).map(move |_| {
+        // Uniform over the disc (sqrt radial distribution), shrunk to
+        // 90 % of the radius to avoid the wall edge.
+        let r = inlet_radius * 0.9 * rng.f64().sqrt();
+        let a = rng.f64() * std::f64::consts::TAU;
+        base + u * (r * a.cos()) + v * (r * a.sin())
+    })
 }
 
 /// Per-step statistics of the transport sweep.
@@ -350,6 +364,35 @@ mod tests {
             assert!((set.elem[i] as usize) < am.mesh.num_elements());
             assert!(set.pos[i].z > -0.02, "injected too deep: {:?}", set.pos[i]);
         }
+    }
+
+    /// Injection through the cached locator index places every particle
+    /// in the element the recompute-per-query search finds.
+    #[test]
+    fn injection_matches_recompute_oracle() {
+        let (am, mut set) = setup();
+        let loc = Locator::new(&am.mesh);
+        let oracle = crate::locator::oracle::Recompute { loc: &loc };
+        let (count, seed) = (20_000, 11);
+        inject_at_inlet(
+            &mut set,
+            &loc,
+            am.inlet_center,
+            am.inlet_direction,
+            am.inlet_radius,
+            1.0,
+            ParticleProps::default(),
+            count,
+            seed,
+        );
+        let dir = am.inlet_direction.normalized();
+        let expected: Vec<(Vec3, u32)> =
+            inlet_points(am.inlet_center, dir, am.inlet_radius, count, seed)
+                .filter_map(|p| oracle.locate_global(p).map(|e| (p, e)))
+                .collect();
+        let got: Vec<(Vec3, u32)> = set.pos.iter().copied().zip(set.elem.iter().copied()).collect();
+        assert_eq!(got.len(), expected.len());
+        assert!(got == expected, "injected elements differ from the oracle");
     }
 
     #[test]

@@ -69,14 +69,24 @@ impl Partition {
 pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
     assert!(k >= 1, "k must be >= 1");
     let n = g.num_vertices();
-    let mut parts = vec![u32::MAX; n];
     if k == 1 || n == 0 {
         return Partition { parts: vec![0; n], num_parts: k };
     }
+    let mut part = Partition { parts: grow(g, k), num_parts: k };
+    refine(g, &mut part, refine_passes);
+    part
+}
 
+/// The growing phase of [`partition_kway`]: `k - 1` parts grown one at a
+/// time to an equal share of the remaining weight, the last taking the
+/// rest.
+fn grow(g: &Graph, k: usize) -> Vec<u32> {
+    let n = g.num_vertices();
+    let mut parts = vec![u32::MAX; n];
     let total = g.total_weight();
     let mut remaining = total;
     let mut seed = g.pseudo_peripheral(0);
+    let mut conn = vec![0i64; n];
 
     for p in 0..k as u32 {
         let parts_left = k as u32 - p;
@@ -92,8 +102,12 @@ pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
         }
         // Grow from `seed`: max-heap on number of neighbors already
         // inside the part (ties broken by insertion order via a counter
-        // for determinism).
+        // for determinism). `conn[w]` keeps that count for every vertex
+        // as the part grows, so a push costs O(1) instead of a rescan of
+        // `neighbors(w)`; on a symmetric graph (`w` listed in
+        // `neighbors(v)` as often as `v` in `neighbors(w)`) both agree.
         let mut heap: BinaryHeap<(i64, std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
+        conn.fill(0);
         let mut counter = 0u64;
         let mut grown = 0.0f64;
         if parts[seed] != u32::MAX {
@@ -120,15 +134,15 @@ pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
             };
             parts[v] = p;
             grown += g.vwgt[v];
+            // Count all of `v`'s edges before pushing, so a duplicate
+            // edge is already counted at its first push.
+            for &w in g.neighbors(v) {
+                conn[w as usize] += 1;
+            }
             for &w in g.neighbors(v) {
                 if parts[w as usize] == u32::MAX {
-                    let gain = g
-                        .neighbors(w as usize)
-                        .iter()
-                        .filter(|&&x| parts[x as usize] == p)
-                        .count() as i64;
                     counter += 1;
-                    heap.push((gain, std::cmp::Reverse(counter), w));
+                    heap.push((conn[w as usize], std::cmp::Reverse(counter), w));
                 }
             }
         }
@@ -136,10 +150,7 @@ pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
         // Next seed: far from the just-grown region.
         seed = g.pseudo_peripheral(seed);
     }
-
-    let mut part = Partition { parts, num_parts: k };
-    refine(g, &mut part, refine_passes);
-    part
+    parts
 }
 
 /// Greedy boundary refinement: move boundary vertices to the neighboring
@@ -200,6 +211,95 @@ fn refine(g: &Graph, part: &mut Partition, passes: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference growing phase: every pushed frontier vertex rescans its
+    /// neighbor list for its gain.
+    fn grow_scan(g: &Graph, k: usize) -> Vec<u32> {
+        let n = g.num_vertices();
+        let mut parts = vec![u32::MAX; n];
+        let mut remaining = g.total_weight();
+        let mut seed = g.pseudo_peripheral(0);
+        for p in 0..k as u32 {
+            let target = remaining / (k as u32 - p) as f64;
+            if p == k as u32 - 1 {
+                for v in 0..n {
+                    if parts[v] == u32::MAX {
+                        parts[v] = p;
+                    }
+                }
+                break;
+            }
+            let mut heap: BinaryHeap<(i64, std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
+            let mut counter = 0u64;
+            let mut grown = 0.0f64;
+            if parts[seed] != u32::MAX {
+                seed = (0..n).find(|&v| parts[v] == u32::MAX).unwrap();
+            }
+            heap.push((0, std::cmp::Reverse(counter), seed as u32));
+            while grown < target {
+                let v = loop {
+                    match heap.pop() {
+                        Some((_, _, v)) if parts[v as usize] == u32::MAX => break Some(v),
+                        Some(_) => continue,
+                        None => break None,
+                    }
+                };
+                let v = match v {
+                    Some(v) => v as usize,
+                    None => match (0..n).find(|&v| parts[v] == u32::MAX) {
+                        Some(v) => v,
+                        None => break,
+                    },
+                };
+                parts[v] = p;
+                grown += g.vwgt[v];
+                for &w in g.neighbors(v) {
+                    if parts[w as usize] == u32::MAX {
+                        let gain = g
+                            .neighbors(w as usize)
+                            .iter()
+                            .filter(|&&x| parts[x as usize] == p)
+                            .count() as i64;
+                        counter += 1;
+                        heap.push((gain, std::cmp::Reverse(counter), w));
+                    }
+                }
+            }
+            remaining -= grown;
+            seed = g.pseudo_peripheral(seed);
+        }
+        parts
+    }
+
+    fn airway_graph(spec: &cfpd_mesh::AirwaySpec) -> Graph {
+        let mesh = cfpd_mesh::generate_airway(spec).unwrap().mesh;
+        let adj = mesh.element_adjacency(&mesh.node_to_elements());
+        Graph::from_csr(&adj, mesh.cost_weights())
+    }
+
+    #[test]
+    fn counted_gains_grow_the_same_parts_as_the_scan() {
+        use cfpd_mesh::AirwaySpec;
+        let graphs = [
+            airway_graph(&AirwaySpec { generations: 2, ..AirwaySpec::default() }),
+            airway_graph(&AirwaySpec { generations: 3, ..AirwaySpec::small() }),
+        ];
+        for g in &graphs {
+            for k in [2, 16] {
+                assert!(grow(g, k) == grow_scan(g, k), "k = {k}, {} vertices", g.num_vertices());
+            }
+        }
+        // Duplicate edges (listed on both sides) and disconnected
+        // leftovers take the same path.
+        let multi = Graph {
+            xadj: vec![0, 3, 6, 8, 11, 13, 14],
+            adjncy: vec![1, 1, 2, 0, 0, 2, 0, 1, 4, 4, 5, 3, 3, 3],
+            vwgt: vec![1.0; 6],
+        };
+        for k in [2, 3] {
+            assert_eq!(grow(&multi, k), grow_scan(&multi, k), "k = {k}");
+        }
+    }
 
     /// Grid graph of `nx * ny` vertices (4-neighborhood).
     fn grid(nx: usize, ny: usize) -> Graph {

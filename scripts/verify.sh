@@ -19,7 +19,8 @@
 #     must complete and emit its JSON,
 #   * a bench smoke: the hotpath benchmark's --quick run must complete
 #     and emit its JSON carrying the per-phase breakdown schema
-#     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + end_to_end),
+#     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + end_to_end) and the
+#     particles/inject, particles/step and partition/kway rows,
 #   * a trace-pipeline smoke: `cfpd trace export` writes Paraver +
 #     Chrome + summary artifacts that validate against the in-repo
 #     RFC 8259 parser, `cfpd trace diff` of two identical-seed traced
@@ -99,9 +100,11 @@ timeout 300 target/release/hotpath --quick >/dev/null
 test -s results/BENCH_hotpath_quick.json || { echo "FAIL: BENCH_hotpath_quick.json missing" >&2; exit 1; }
 python3 -m json.tool results/BENCH_hotpath_quick.json >/dev/null \
     || { echo "FAIL: hotpath JSON invalid" >&2; exit 1; }
-# The per-phase schema the perf docs and the trajectory gate key on.
+# The per-phase schema the perf docs and the trajectory gate key on,
+# and the set-up kernel rows (particle location, k-way growth).
 for key in '"phases"' '"spmv"' '"jacobi"' '"axpy_dot"' '"sgs"' '"assembly"' \
-           '"end_to_end"' '"default_ns"' '"opt_ns"' '"speedup"'; do
+           '"end_to_end"' '"default_ns"' '"opt_ns"' '"speedup"' \
+           '"particles/inject"' '"particles/step"' '"partition/kway"'; do
     grep -q "$key" results/BENCH_hotpath_quick.json \
         || { echo "FAIL: BENCH_hotpath_quick.json missing $key" >&2; exit 1; }
 done
