@@ -204,7 +204,8 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
         },
     );
 
-    // SGS sweep: default element-loop scheduling vs kind-batched SoA.
+    // SGS sweep: the default per-element loop over the plan's cached
+    // Multidep subdomains vs the kind-batched SoA sweep.
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();

@@ -87,6 +87,8 @@ pub struct AssemblyStatsPair {
 pub struct FluidSolver<'m> {
     pub mesh: &'m Mesh,
     refs: [RefElement; 3],
+    /// Element schedule (color classes or subdomains), built once here
+    /// and swept by both assembly and SGS every step.
     plan: AssemblyPlan,
     props: FluidProps,
     dt: f64,
@@ -477,6 +479,8 @@ impl<'m> FluidSolver<'m> {
         }
 
         // ---- Phase: SGS ------------------------------------------------
+        // Sweeps the plan's cached schedule, the same decomposition the
+        // assembly above used: no per-step repartition or recoloring.
         let t0 = std::time::Instant::now();
         let stats_sgs = compute_sgs(
             pool,

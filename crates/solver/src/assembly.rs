@@ -216,6 +216,16 @@ impl AssemblyPlan {
         self.subdomains.as_ref().map(|(_, objs)| objs)
     }
 
+    /// Element ids per subdomain (Multidep only).
+    pub(crate) fn subdomain_members(&self) -> Option<&[Vec<u32>]> {
+        self.subdomains.as_ref().map(|(members, _)| members.as_slice())
+    }
+
+    /// Element ids per color (Coloring only).
+    pub(crate) fn color_classes(&self) -> Option<&[Vec<u32>]> {
+        self.color_classes.as_deref()
+    }
+
     /// The atomics-loop grain.
     pub(crate) fn atomics_grain(&self) -> usize {
         self.grain

@@ -137,12 +137,19 @@ pub struct SgsStats {
     pub elements: usize,
     pub total_iterations: u64,
     pub max_iterations: usize,
+    /// Number of color classes swept (Coloring strategy only).
+    pub colors: usize,
+    /// Number of subdomain tasks run (Multidep only).
+    pub tasks: usize,
 }
 
 /// Run one SGS update sweep over `plan.elems` with the plan's strategy.
 /// All strategies are race-free here by construction (per-element
 /// storage) — exactly why the paper uses this phase to isolate the
-/// scheduling overhead of coloring/multidependences.
+/// scheduling overhead of coloring/multidependences. Coloring and
+/// Multidep sweep the color classes and subdomains the plan built once
+/// for assembly, so a sweep pays only the scheduling, never the
+/// decomposition.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_sgs(
     pool: &ThreadPool,
@@ -159,11 +166,12 @@ pub fn compute_sgs(
     if plan.batched_sgs {
         return compute_sgs_batched(pool, refs, mesh, plan, velocity, props, field, max_iters, tol);
     }
-    let offsets = field.offsets.clone();
-    let h = field.h.clone();
-    let view = SgsView::new(&mut field.values);
+    let SgsField { values, offsets, h, .. } = field;
+    let (offsets, h) = (&*offsets, &*h);
+    let view = SgsView::new(values);
     let total_iters = AtomicU64::new(0);
     let max_seen = AtomicUsize::new(0);
+    let (mut colors, mut tasks) = (0, 0);
 
     let process = |scratch: &mut ElementScratch, e: usize| {
         let (kind, nn) = scratch.load(mesh, velocity, e);
@@ -204,18 +212,8 @@ pub fn compute_sgs(
         }
         AssemblyStrategy::Coloring => {
             // Pointless for SGS but measured to expose its overhead.
-            let classes: Vec<Vec<u32>> = {
-                // Reuse the plan's classes if built for Coloring.
-                let weights: Vec<f64> =
-                    plan.elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
-                let g = cfpd_partition::local_element_graph(mesh, &plan.elems, &weights);
-                cfpd_partition::greedy_coloring(&g)
-                    .color_classes()
-                    .into_iter()
-                    .map(|c| c.into_iter().map(|li| plan.elems[li as usize]).collect())
-                    .collect()
-            };
-            for class in &classes {
+            let classes = plan.color_classes().expect("coloring plan");
+            for class in classes {
                 parallel_for(pool, 0..class.len(), 32, |range| {
                     let mut scratch = ElementScratch::default();
                     for k in range {
@@ -223,28 +221,23 @@ pub fn compute_sgs(
                     }
                 });
             }
+            colors = classes.len();
         }
         AssemblyStrategy::Multidep => {
-            let weights: Vec<f64> =
-                plan.elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
-            let n_sub = plan.num_subdomains().max(pool.max_workers() * 4);
-            let d = cfpd_partition::decompose_subdomains(mesh, &plan.elems, &weights, n_sub);
+            let members = plan.subdomain_members().expect("multidep plan");
+            let objs = plan.mutex_objs().expect("multidep plan");
             let mut graph = TaskGraph::new();
-            for (s, members) in d.members.iter().enumerate() {
-                let deps: Vec<Dep> =
-                    d.adjacency[s].iter().map(|&t| {
-                        let key = if (s as u32) < t { (s as u32, t) } else { (t, s as u32) };
-                        Dep::mutex((key.0 as usize) * d.members.len() + key.1 as usize)
-                    }).collect();
+            for (elems, objs) in members.iter().zip(objs) {
+                let deps: Vec<Dep> = objs.iter().map(|&o| Dep::mutex(o)).collect();
                 let process = &process;
                 graph.add_task(&deps, move || {
                     let mut scratch = ElementScratch::default();
-                    for &e in members {
+                    for &e in elems {
                         process(&mut scratch, e as usize);
                     }
                 });
             }
-            graph.execute(pool);
+            tasks = graph.execute(pool).tasks_run;
         }
     }
 
@@ -252,6 +245,8 @@ pub fn compute_sgs(
         elements: plan.elems.len(),
         total_iterations: total_iters.load(Ordering::Relaxed),
         max_iterations: max_seen.load(Ordering::Relaxed),
+        colors,
+        tasks,
     }
 }
 
@@ -277,7 +272,7 @@ fn compute_sgs_batched(
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     field.ensure_batches(mesh, &plan.elems);
     // Destructure to borrow the schedule and the value storage
-    // simultaneously (the clone-free counterpart of the unbatched path).
+    // simultaneously.
     let SgsField { values, offsets, h, batches } = field;
     let batches = batches.as_deref().expect("ensure_batches just built these");
     let view = SgsView::new(values);
@@ -310,6 +305,7 @@ fn compute_sgs_batched(
         elements: plan.elems.len(),
         total_iterations: total_iters.load(Ordering::Relaxed),
         max_iterations: max_seen.load(Ordering::Relaxed),
+        ..SgsStats::default()
     }
 }
 
@@ -329,23 +325,38 @@ mod tests {
         (am.mesh, RefElement::all(), ThreadPool::new(4), vel)
     }
 
-    fn run(strategy: AssemblyStrategy) -> (SgsField, SgsStats) {
-        let (mesh, refs, pool, vel) = fixture();
+    fn sweep(
+        pool: &ThreadPool,
+        refs: &[RefElement; 3],
+        mesh: &Mesh,
+        plan: &AssemblyPlan,
+        vel: &[Vec3],
+        field: &mut SgsField,
+    ) -> SgsStats {
+        compute_sgs(pool, refs, mesh, plan, vel, FluidProps::default(), field, 10, 1e-8)
+    }
+
+    fn plan_for(mesh: &Mesh, strategy: AssemblyStrategy) -> AssemblyPlan {
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let plan = AssemblyPlan::new(&mesh, elems, strategy, 16);
+        AssemblyPlan::new(mesh, elems, strategy, 16)
+    }
+
+    fn run_on(strategy: AssemblyStrategy, workers: usize) -> (SgsField, SgsStats) {
+        let (mesh, refs, _, vel) = fixture();
+        let pool = ThreadPool::new(workers);
+        let plan = plan_for(&mesh, strategy);
         let mut field = SgsField::new(&mesh);
-        let stats = compute_sgs(
-            &pool,
-            &refs,
-            &mesh,
-            &plan,
-            &vel,
-            FluidProps::default(),
-            &mut field,
-            10,
-            1e-8,
-        );
+        let stats = sweep(&pool, &refs, &mesh, &plan, &vel, &mut field);
         (field, stats)
+    }
+
+    fn assert_bits_equal(a: &SgsField, b: &SgsField, what: &str) {
+        assert_eq!(a.values.len(), b.values.len(), "{what}: storage size");
+        for (i, (x, y)) in a.values.iter().zip(&b.values).enumerate() {
+            assert_eq!(x.x.to_bits(), y.x.to_bits(), "{what}: sgs[{i}].x");
+            assert_eq!(x.y.to_bits(), y.y.to_bits(), "{what}: sgs[{i}].y");
+            assert_eq!(x.z.to_bits(), y.z.to_bits(), "{what}: sgs[{i}].z");
+        }
     }
 
     #[test]
@@ -358,25 +369,67 @@ mod tests {
         assert_eq!(field.values.len(), expected);
     }
 
+    // SGS elements are mutually independent, so every strategy, pool
+    // size and task order writes the same bits as the serial loop.
     #[test]
     fn all_strategies_compute_same_sgs() {
-        let (reference, _) = run(AssemblyStrategy::Serial);
-        for s in [AssemblyStrategy::Atomics, AssemblyStrategy::Coloring, AssemblyStrategy::Multidep]
-        {
-            let (field, stats) = run(s);
-            assert_eq!(stats.elements, reference.offsets.len() - 1);
-            for (i, (a, b)) in field.values.iter().zip(&reference.values).enumerate() {
-                assert!(
-                    (*a - *b).norm() < 1e-12,
-                    "{s:?} sgs[{i}] differs: {a:?} vs {b:?}"
-                );
+        let (reference, ref_stats) = run_on(AssemblyStrategy::Serial, 4);
+        for workers in [1, 2, 4] {
+            for s in
+                [AssemblyStrategy::Atomics, AssemblyStrategy::Coloring, AssemblyStrategy::Multidep]
+            {
+                let (field, stats) = run_on(s, workers);
+                assert_eq!(stats.elements, reference.offsets.len() - 1);
+                assert_eq!(stats.total_iterations, ref_stats.total_iterations, "{s:?}");
+                assert_eq!(stats.max_iterations, ref_stats.max_iterations, "{s:?}");
+                assert_bits_equal(&field, &reference, &format!("{s:?} on {workers} workers"));
+            }
+        }
+    }
+
+    // Coloring and Multidep sweep the schedule the plan built for
+    // assembly: its color classes and its subdomain tasks, even when
+    // the plan has fewer subdomains than the pool has workers.
+    #[test]
+    fn sweep_runs_the_plans_schedule() {
+        let (mesh, refs, pool, vel) = fixture();
+        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        for n_sub in [3, 16] {
+            for s in AssemblyStrategy::ALL {
+                let plan = AssemblyPlan::new(&mesh, elems.clone(), s, n_sub);
+                let mut field = SgsField::new(&mesh);
+                let stats = sweep(&pool, &refs, &mesh, &plan, &vel, &mut field);
+                assert_eq!(stats.colors, plan.num_colors(), "{s:?} colors");
+                assert_eq!(stats.tasks, plan.num_subdomains(), "{s:?} tasks");
+                if s == AssemblyStrategy::Multidep {
+                    assert_eq!(stats.tasks, n_sub);
+                }
+            }
+        }
+        assert!(plan_for(&mesh, AssemblyStrategy::Coloring).num_colors() > 1);
+    }
+
+    // Two consecutive sweeps on one plan (the schedule reused, as every
+    // step does) match sweeps on freshly built plans bit for bit.
+    #[test]
+    fn reused_schedule_matches_fresh_plan() {
+        let (mesh, refs, pool, vel) = fixture();
+        for s in [AssemblyStrategy::Coloring, AssemblyStrategy::Multidep] {
+            let plan = plan_for(&mesh, s);
+            let mut reused = SgsField::new(&mesh);
+            let mut fresh = SgsField::new(&mesh);
+            for pass in 0..2 {
+                let a = sweep(&pool, &refs, &mesh, &plan, &vel, &mut reused);
+                let b = sweep(&pool, &refs, &mesh, &plan_for(&mesh, s), &vel, &mut fresh);
+                assert_eq!(a.total_iterations, b.total_iterations, "{s:?} pass {pass}");
+                assert_bits_equal(&reused, &fresh, &format!("{s:?} pass {pass}"));
             }
         }
     }
 
     #[test]
     fn rotational_flow_produces_nonzero_sgs() {
-        let (field, stats) = run(AssemblyStrategy::Atomics);
+        let (field, stats) = run_on(AssemblyStrategy::Atomics, 4);
         assert!(field.mean_norm() > 0.0);
         assert!(stats.total_iterations as usize >= stats.elements);
         assert!(stats.max_iterations >= 1);
@@ -385,35 +438,20 @@ mod tests {
     fn run_batched(workers: usize) -> (SgsField, SgsStats) {
         let (mesh, refs, _, vel) = fixture();
         let pool = ThreadPool::new(workers);
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let mut plan = AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Atomics, 16);
+        let mut plan = plan_for(&mesh, AssemblyStrategy::Atomics);
         plan.batched_sgs = true;
         let mut field = SgsField::new(&mesh);
-        let stats = compute_sgs(
-            &pool,
-            &refs,
-            &mesh,
-            &plan,
-            &vel,
-            FluidProps::default(),
-            &mut field,
-            10,
-            1e-8,
-        );
+        let stats = sweep(&pool, &refs, &mesh, &plan, &vel, &mut field);
         (field, stats)
     }
 
     #[test]
     fn batched_sgs_bit_identical_to_serial() {
-        let (reference, ref_stats) = run(AssemblyStrategy::Serial);
+        let (reference, ref_stats) = run_on(AssemblyStrategy::Serial, 4);
         let (field, stats) = run_batched(4);
         assert_eq!(stats.elements, ref_stats.elements);
         assert_eq!(stats.total_iterations, ref_stats.total_iterations);
-        for (i, (a, b)) in field.values.iter().zip(&reference.values).enumerate() {
-            assert_eq!(a.x.to_bits(), b.x.to_bits(), "sgs[{i}].x");
-            assert_eq!(a.y.to_bits(), b.y.to_bits(), "sgs[{i}].y");
-            assert_eq!(a.z.to_bits(), b.z.to_bits(), "sgs[{i}].z");
-        }
+        assert_bits_equal(&field, &reference, "batched vs serial");
     }
 
     #[test]
@@ -422,10 +460,6 @@ mod tests {
         let (f4, s4) = run_batched(4);
         assert_eq!(s1.total_iterations, s4.total_iterations);
         assert_eq!(s1.max_iterations, s4.max_iterations);
-        for (i, (a, b)) in f1.values.iter().zip(&f4.values).enumerate() {
-            assert_eq!(a.x.to_bits(), b.x.to_bits(), "sgs[{i}].x differs across pools");
-            assert_eq!(a.y.to_bits(), b.y.to_bits(), "sgs[{i}].y differs across pools");
-            assert_eq!(a.z.to_bits(), b.z.to_bits(), "sgs[{i}].z differs across pools");
-        }
+        assert_bits_equal(&f1, &f4, "batched across pools");
     }
 }

@@ -20,7 +20,9 @@
 #   * a bench smoke: the hotpath benchmark's --quick run must complete
 #     and emit its JSON carrying the per-phase breakdown schema
 #     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + end_to_end) and the
-#     particles/inject, particles/step and partition/kway rows,
+#     particles/inject, particles/step and partition/kway rows, and the
+#     default SGS sweep must stay within 4x of the kind-batched one (a
+#     per-step repartition in the sweep reads ~33x),
 #   * a trace-pipeline smoke: `cfpd trace export` writes Paraver +
 #     Chrome + summary artifacts that validate against the in-repo
 #     RFC 8259 parser, `cfpd trace diff` of two identical-seed traced
@@ -108,6 +110,15 @@ for key in '"phases"' '"spmv"' '"jacobi"' '"axpy_dot"' '"sgs"' '"assembly"' \
     grep -q "$key" results/BENCH_hotpath_quick.json \
         || { echo "FAIL: BENCH_hotpath_quick.json missing $key" >&2; exit 1; }
 done
+# The default SGS sweep runs on the assembly plan's cached schedule, so
+# it costs about what the kind-batched sweep does (0.96x measured); a
+# sweep that repartitions or recolors every call reads ~33x.
+python3 - <<'PYEOF' || { echo "FAIL: default SGS sweep slower than 4x the batched sweep" >&2; exit 1; }
+import json, sys
+sgs = json.load(open("results/BENCH_hotpath_quick.json"))["phases"]["sgs"]
+if sgs["default_ns"] > 4 * sgs["opt_ns"]:
+    sys.exit(f"sgs default {sgs['default_ns']} ns > 4 x opt {sgs['opt_ns']} ns")
+PYEOF
 timeout 300 target/release/overhead --quick >/dev/null
 test -s results/BENCH_telemetry_overhead_quick.json \
     || { echo "FAIL: BENCH_telemetry_overhead_quick.json missing" >&2; exit 1; }
