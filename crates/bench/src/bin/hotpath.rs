@@ -1,9 +1,8 @@
-//! Locality hot-path benchmark: default vs `LayoutPlan`-optimized
-//! assembly, SpMV and pressure CG on the airway mesh, plus the RCM
-//! bandwidth reduction — the before/after evidence for DESIGN.md §9
-//! and the raw-speed pass of §14 — and the set-up kernels of a run:
-//! particle injection, one particle transport step and k-way
-//! partitioning.
+//! Locality hot-path benchmark: the `default` vs `opt` layout's
+//! assembly, SpMV, pressure CG and SGS sweep on the airway mesh, plus
+//! the RCM bandwidth reduction — the before/after evidence for
+//! DESIGN.md §9 and §14 — and the set-up kernels of a run: particle
+//! injection, one particle transport step and k-way partitioning.
 //!
 //! Writes the usual text table to `results/BENCH_hotpath.txt` and a
 //! machine-readable `results/BENCH_hotpath.json` (per-routine name,
@@ -31,8 +30,8 @@ use cfpd_particles::{inject_at_inlet, step_particles, Locator, ParticleSet};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, assemble_momentum_batched, assemble_poisson, axpy_dot_fused, cg, cg_fused,
-    cg_fused_sell, cg_parallel, compute_sgs, AssemblyPlan, AssemblyStrategy, CsrMatrix,
-    FluidProps, MatFreeMomentum, RefElement, SellMatrix, SgsField,
+    cg_fused_sell, compute_sgs, AssemblyPlan, AssemblyStrategy, CsrMatrix, FluidProps, RefElement,
+    SellMatrix, SgsField,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 use cfpd_testkit::json;
@@ -78,19 +77,17 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     let plan_default = AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Multidep, N_SUBDOMAINS);
     let plan_batched = AssemblyPlan::with_batches(
         mesh,
-        elems.clone(),
+        elems,
         AssemblyStrategy::Multidep,
         N_SUBDOMAINS,
         &template,
     );
-    let mut plan_lanes =
-        AssemblyPlan::with_batches(mesh, elems, AssemblyStrategy::Multidep, N_SUBDOMAINS, &template);
-    plan_lanes.lane_kernels = true;
 
+    // The batched path always runs the lane kernels; the row keeps its
+    // name so the end-to-end trajectory stays comparable.
     for (label, plan, batched) in [
         ("assembly/default", &plan_default, false),
-        ("assembly/batched", &plan_batched, true),
-        ("assembly/batched-lanes", &plan_lanes, true),
+        ("assembly/batched-lanes", &plan_batched, true),
     ] {
         let f = if batched { assemble_momentum_batched } else { assemble_momentum };
         b.bench_batched(
@@ -139,7 +136,6 @@ fn bench_spmv_and_cg(
     });
     for (solver, name) in [
         ("serial", format!("cg-serial/{label}")),
-        ("parallel", format!("cg-parallel/{label}")),
         ("fused", format!("cg-fused/{label}")),
         ("sell", format!("cg-sell/{label}")),
     ] {
@@ -149,7 +145,6 @@ fn bench_spmv_and_cg(
             |mut x| {
                 let stats = match solver {
                     "serial" => cg(matrix, rhs, &mut x, 0.0, CG_ITERS),
-                    "parallel" => cg_parallel(matrix, rhs, &mut x, 0.0, CG_ITERS, pool),
                     "fused" => cg_fused(matrix, rhs, &mut x, 0.0, CG_ITERS, pool),
                     _ => cg_fused_sell(matrix, &sell, rhs, &mut x, 0.0, CG_ITERS, pool),
                 };
@@ -162,9 +157,14 @@ fn bench_spmv_and_cg(
 }
 
 /// Standalone per-phase kernels outside a full CG run: Jacobi apply,
-/// axpy/dot (split vs fused), the SGS sweep (default vs kind-batched)
-/// and the matrix-free momentum pipeline.
-fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPool) {
+/// axpy/dot (split vs fused) and the SGS sweep.
+fn bench_phases(
+    b: &mut Bench,
+    mesh: &Mesh,
+    mesh_rcm: &Mesh,
+    matrix: &CsrMatrix,
+    pool: &ThreadPool,
+) {
     let n = matrix.n;
     let diag = matrix.diagonal();
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
@@ -204,52 +204,27 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
         },
     );
 
-    // SGS sweep: the default per-element loop over the plan's cached
-    // Multidep subdomains vs the kind-batched SoA sweep.
+    // SGS sweep: the Multidep sweep over the plan's cached subdomains,
+    // on native order (default) and on the RCM mesh (opt), plus the
+    // Serial loop over the same elements. A sweep that repartitions or
+    // recolors every call reads >= 30x the serial row.
     let refs = RefElement::all();
-    let velocity = synthetic_velocity(mesh);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan_default =
-        AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Multidep, N_SUBDOMAINS);
-    let mut plan_batched =
-        AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Multidep, N_SUBDOMAINS);
-    plan_batched.batched_sgs = true;
-    let mut field_default = SgsField::new(mesh);
-    let mut field_batched = SgsField::new(mesh);
-    b.bench("sgs/default", || {
-        let stats = compute_sgs(
-            pool, &refs, mesh, &plan_default, &velocity, FluidProps::default(),
-            &mut field_default, 5, 1e-6,
-        );
-        black_box(stats.elements);
-    });
-    b.bench("sgs/batched", || {
-        let stats = compute_sgs(
-            pool, &refs, mesh, &plan_batched, &velocity, FluidProps::default(),
-            &mut field_batched, 5, 1e-6,
-        );
-        black_box(stats.elements);
-    });
-
-    // Matrix-free momentum: assemble-lite (no CSR scatter) + apply.
-    let n2e = mesh.node_to_elements();
-    let pattern = CsrMatrix::from_mesh(mesh, &n2e);
-    let mut mf = MatFreeMomentum::new(mesh, &pattern, &elems);
-    let zero_p = vec![0.0; n];
-    b.bench("matfree/assemble", || {
-        let mut rhs = vec![vec![0.0; n]; 3];
-        mf.assemble(
-            &refs, mesh, &velocity, &zero_p, FluidProps::default(), 1e-4,
-            Vec3::new(0.0, 0.0, -9.81), &mut rhs,
-        );
-        black_box(rhs.len());
-    });
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-    b.bench("matfree/apply", || {
-        let mut y = vec![0.0; n];
-        mf.apply(black_box(&x), &mut y);
-        black_box(y);
-    });
+    for (label, m, strategy) in [
+        ("sgs/default", mesh, AssemblyStrategy::Multidep),
+        ("sgs/rcm-order", mesh_rcm, AssemblyStrategy::Multidep),
+        ("sgs/serial", mesh, AssemblyStrategy::Serial),
+    ] {
+        let plan = AssemblyPlan::new(m, elems.clone(), strategy, N_SUBDOMAINS);
+        let velocity = synthetic_velocity(m);
+        let mut field = SgsField::new(m);
+        b.bench(label, || {
+            let stats = compute_sgs(
+                pool, &refs, m, &plan, &velocity, FluidProps::default(), &mut field, 5, 1e-6,
+            );
+            black_box(stats.elements);
+        });
+    }
 }
 
 /// Particle location and partition growth: inlet injection of the
@@ -329,7 +304,7 @@ const PHASES: [(&str, &str, &str); 5] = [
     ("spmv", "spmv/native-order", "spmv-sell/rcm-order"),
     ("jacobi", "jacobi/apply", "jacobi/apply"),
     ("axpy_dot", "axpy-dot/split", "axpy-dot/fused"),
-    ("sgs", "sgs/default", "sgs/batched"),
+    ("sgs", "sgs/default", "sgs/rcm-order"),
     ("assembly", "assembly/default", "assembly/batched-lanes"),
 ];
 
@@ -471,7 +446,7 @@ fn main() {
     bench_spmv_and_cg(&mut b, "native-order", &m_native, &rhs_native, &pool);
     let (m_rcm, rhs_rcm) = pressure_system(&mesh_rcm, &pool);
     bench_spmv_and_cg(&mut b, "rcm-order", &m_rcm, &rhs_rcm, &pool);
-    bench_phases(&mut b, &mesh, &m_native, &pool);
+    bench_phases(&mut b, &mesh, &mesh_rcm, &m_native, &pool);
     bench_particles_and_partition(&mut b, quick);
 
     let e2e = end_to_end(b.rows());

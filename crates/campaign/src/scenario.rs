@@ -416,7 +416,7 @@ mod tests {
         assert_eq!(s.ranks, 3);
         assert_eq!(s.config.num_particles, 40);
         assert_eq!(s.config.mode, ExecutionMode::Coupled { fluid: 2, particles: 1 });
-        assert_eq!(s.config.layout, LayoutPlan::optimized());
+        assert_eq!(s.config.layout, LayoutPlan::Opt);
         assert!(s.dlb);
     }
 
@@ -452,6 +452,21 @@ mod tests {
         assert_eq!(s.apply(&p).unwrap_err().line, 12);
         let p = RawPair { key: "bogus".into(), value: "1".into(), line: 9 };
         assert_eq!(s.apply(&p).unwrap_err().line, 9);
+    }
+
+    // The removed `opt-matfree` layout fails at parse, anchored to its
+    // 1-based line, as a [scenario] value and as a [matrix] axis value.
+    #[test]
+    fn removed_layout_value_is_rejected_at_parse() {
+        for doc in [
+            "[campaign]\nname = x\n[scenario]\nlayout = opt-matfree\n",
+            "[campaign]\nname = x\n[matrix]\nlayout = default, opt-matfree\n",
+        ] {
+            let err = CampaignSpec::from_text(doc).unwrap_err();
+            assert_eq!(err.line, 4, "{err}");
+            let msg = &err.message;
+            assert!(msg.contains("opt-matfree") && msg.contains("expected: default, opt"), "{err}");
+        }
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub struct SimulationConfig {
     pub solver_max_iters: usize,
     /// RNG seed for the particle injection.
     pub seed: u64,
-    /// Opt-in locality optimizations (RCM renumbering, kind-batched
-    /// assembly, fused solver kernels). Default: all off — the golden
-    /// bit-identity path.
+    /// Locality layout: [`LayoutPlan::Default`] (the golden
+    /// bit-identity path) or [`LayoutPlan::Opt`] (RCM renumbering,
+    /// kind-batched lane-kernel assembly, fused SELL-fed pressure CG).
     pub layout: LayoutPlan,
 }
 

@@ -7,9 +7,8 @@ use cfpd_mesh::{BoundaryKind, Mesh, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, assemble_momentum_batched, assemble_poisson, assemble_poisson_batched,
-    bicgstab, cg, cg_fused, cg_fused_sell, compute_sgs, AssemblyPlan, AssemblyStats,
-    AssemblyStrategy, CsrMatrix, FluidProps, LayoutPlan, MatFreeMomentum, RefElement, SellMatrix,
-    SgsField, SgsStats, SolveStats,
+    bicgstab, cg, cg_fused_sell, compute_sgs, AssemblyPlan, AssemblyStats, AssemblyStrategy,
+    CsrMatrix, FluidProps, LayoutPlan, RefElement, SellMatrix, SgsField, SgsStats, SolveStats,
 };
 
 /// Boundary conditions extracted from the mesh's tagged exterior faces.
@@ -109,14 +108,10 @@ pub struct FluidSolver<'m> {
     pub sgs: SgsField,
     gravity: Vec3,
     layout: LayoutPlan,
-    /// SELL-shaped mirror of the pressure matrix (`layout.sell_spmv`);
-    /// structure built once, values regathered every step.
+    /// SELL-shaped mirror of the pressure matrix, present exactly under
+    /// [`LayoutPlan::Opt`]: structure built once, values regathered
+    /// every step, fed to the fused CG.
     sell: Option<SellMatrix>,
-    /// Matrix-free momentum operator (`layout.matrix_free`). Covers
-    /// only this solver's element list, so it is a single-address-space
-    /// optimization: distributed (replicated-solve) runs must keep the
-    /// assembled matrix for the cross-rank value reduction.
-    matfree: Option<MatFreeMomentum>,
 }
 
 impl<'m> FluidSolver<'m> {
@@ -148,10 +143,10 @@ impl<'m> FluidSolver<'m> {
         )
     }
 
-    /// [`FluidSolver::new`] with an explicit [`LayoutPlan`]: when
-    /// `layout.batched_assembly` is set the plan carries a kind-batched
-    /// SoA schedule, and `layout.fused_solver` switches the pressure
-    /// solve to the fused deterministic parallel CG.
+    /// [`FluidSolver::new`] with an explicit [`LayoutPlan`]. Under
+    /// [`LayoutPlan::Opt`] the plan carries a kind-batched SoA schedule
+    /// and the pressure solve runs the fused deterministic parallel CG
+    /// over a SELL mirror of the matrix.
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_layout(
         mesh: &'m Mesh,
@@ -171,16 +166,12 @@ impl<'m> FluidSolver<'m> {
         let n = mesh.num_nodes();
         // The momentum and Poisson matrices share one sparsity pattern,
         // so one batched schedule (built against matrix_u) serves both.
-        let mut plan = if layout.batched_assembly {
+        let plan = if layout.is_opt() {
             AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, &matrix_u)
         } else {
             AssemblyPlan::new(mesh, elems, strategy, n_subdomains)
         };
-        plan.lane_kernels = layout.lane_kernels;
-        plan.batched_sgs = layout.batched_sgs;
-        let sell = layout.sell_spmv.then(|| SellMatrix::from_csr(&matrix_p));
-        let matfree =
-            layout.matrix_free.then(|| MatFreeMomentum::new(mesh, &matrix_u, &plan.elems));
+        let sell = layout.is_opt().then(|| SellMatrix::from_csr(&matrix_p));
         let bc = BoundaryConditions::from_mesh(mesh);
         let refs = RefElement::all();
 
@@ -219,7 +210,6 @@ impl<'m> FluidSolver<'m> {
             gravity: Vec3::new(0.0, 0.0, -9.81),
             layout,
             sell,
-            matfree,
         }
     }
 
@@ -259,9 +249,7 @@ impl<'m> FluidSolver<'m> {
 
         // ---- Phase: matrix assembly (momentum + Poisson patterns) ----
         let t0 = std::time::Instant::now();
-        if self.matfree.is_none() {
-            self.matrix_u.clear();
-        }
+        self.matrix_u.clear();
         for r in &mut self.rhs_u {
             r.iter_mut().for_each(|x| *x = 0.0);
         }
@@ -272,47 +260,24 @@ impl<'m> FluidSolver<'m> {
         // splitting is the robust choice; the kernel-level pressure-
         // gradient hook remains available for stabilized discretizations.
         let zero_pressure = vec![0.0; n];
-        let stats_m = if let Some(mf) = self.matfree.as_mut() {
-            // Assembly-lite: element integrals go to the flat per-element
-            // store (no CSR scatter); only the RHS is scattered.
-            mf.assemble(
-                &self.refs,
-                self.mesh,
-                &self.velocity,
-                &zero_pressure,
-                self.props,
-                self.dt,
-                self.gravity,
-                &mut self.rhs_u,
-            );
-            AssemblyStats { elements: self.plan.elems.len(), ..AssemblyStats::default() }
-        } else {
-            let assemble_m = if self.layout.batched_assembly {
-                assemble_momentum_batched
-            } else {
-                assemble_momentum
-            };
-            assemble_m(
-                pool,
-                &self.refs,
-                self.mesh,
-                &self.plan,
-                &self.velocity,
-                &zero_pressure,
-                self.props,
-                self.dt,
-                self.gravity,
-                &mut self.matrix_u,
-                &mut self.rhs_u,
-            )
-        };
+        let batched = self.layout.is_opt();
+        let assemble_m = if batched { assemble_momentum_batched } else { assemble_momentum };
+        let stats_m = assemble_m(
+            pool,
+            &self.refs,
+            self.mesh,
+            &self.plan,
+            &self.velocity,
+            &zero_pressure,
+            self.props,
+            self.dt,
+            self.gravity,
+            &mut self.matrix_u,
+            &mut self.rhs_u,
+        );
         self.matrix_p.clear();
         self.rhs_p[0].iter_mut().for_each(|x| *x = 0.0);
-        let assemble_p = if self.layout.batched_assembly {
-            assemble_poisson_batched
-        } else {
-            assemble_poisson
-        };
+        let assemble_p = if batched { assemble_poisson_batched } else { assemble_poisson };
         let stats_p = assemble_p(
             pool,
             &self.refs,
@@ -325,12 +290,8 @@ impl<'m> FluidSolver<'m> {
             &mut self.rhs_p,
         );
         // Combine element-partial sums across ranks before applying
-        // boundary conditions. The matrix-free operator keeps local
-        // matrices unassembled, so its momentum values take no part in
-        // the reduction (single-address-space path — see field docs).
-        if self.matfree.is_none() {
-            reduce(&mut self.matrix_u.values);
-        }
+        // boundary conditions.
+        reduce(&mut self.matrix_u.values);
         for r in &mut self.rhs_u {
             reduce(r);
         }
@@ -338,11 +299,7 @@ impl<'m> FluidSolver<'m> {
         reduce(&mut self.rhs_p[0]);
         // Momentum Dirichlet rows: walls (0) and inlet (inflow).
         for &v in self.bc.wall_nodes.iter().chain(&self.bc.inlet_nodes) {
-            if let Some(mf) = self.matfree.as_mut() {
-                mf.set_dirichlet_row(v as usize);
-            } else {
-                self.matrix_u.set_dirichlet_row(v as usize);
-            }
+            self.matrix_u.set_dirichlet_row(v as usize);
         }
         for (c, comp) in [self.inflow.x, self.inflow.y, self.inflow.z].iter().enumerate() {
             for &v in &self.bc.wall_nodes {
@@ -370,11 +327,7 @@ impl<'m> FluidSolver<'m> {
                 .iter()
                 .map(|v| [v.x, v.y, v.z][c])
                 .collect();
-            s1[c] = if let Some(mf) = self.matfree.as_ref() {
-                bicgstab(mf, &self.rhs_u[c], &mut x, self.tol, self.max_iters)
-            } else {
-                bicgstab(&self.matrix_u, &self.rhs_u[c], &mut x, self.tol, self.max_iters)
-            };
+            s1[c] = bicgstab(&self.matrix_u, &self.rhs_u[c], &mut x, self.tol, self.max_iters);
             for (i, xi) in x.iter().enumerate() {
                 match c {
                     0 => ustar[i].x = *xi,
@@ -424,8 +377,6 @@ impl<'m> FluidSolver<'m> {
                 self.max_iters,
                 pool,
             )
-        } else if self.layout.fused_solver {
-            cg_fused(&self.matrix_p, &self.rhs_p[0], &mut phi, self.tol, self.max_iters, pool)
         } else {
             cg(&self.matrix_p, &self.rhs_p[0], &mut phi, self.tol, self.max_iters)
         };
@@ -583,83 +534,6 @@ mod tests {
             max_diff < 1e-5 * a.max_speed().max(1.0),
             "strategy changed the physics: diff {max_diff}"
         );
-    }
-
-    fn solver_with_layout<'m>(
-        mesh: &'m Mesh,
-        strategy: AssemblyStrategy,
-        layout: LayoutPlan,
-    ) -> FluidSolver<'m> {
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        FluidSolver::new_with_layout(
-            mesh,
-            elems,
-            strategy,
-            8,
-            FluidProps::default(),
-            1e-3,
-            Vec3::new(0.0, 0.0, -1.0),
-            1e-8,
-            2000,
-            layout,
-        )
-    }
-
-    fn step_twice(fs: &mut FluidSolver, pool: &ThreadPool) -> (Vec<Vec3>, Vec<f64>) {
-        fs.step(pool);
-        fs.step(pool);
-        (fs.velocity.clone(), fs.pressure.clone())
-    }
-
-    fn assert_state_bits_equal(a: &(Vec<Vec3>, Vec<f64>), b: &(Vec<Vec3>, Vec<f64>), what: &str) {
-        for (i, (va, vb)) in a.0.iter().zip(&b.0).enumerate() {
-            assert_eq!(va.x.to_bits(), vb.x.to_bits(), "{what}: velocity[{i}].x");
-            assert_eq!(va.y.to_bits(), vb.y.to_bits(), "{what}: velocity[{i}].y");
-            assert_eq!(va.z.to_bits(), vb.z.to_bits(), "{what}: velocity[{i}].z");
-        }
-        for (i, (pa, pb)) in a.1.iter().zip(&b.1).enumerate() {
-            assert_eq!(pa.to_bits(), pb.to_bits(), "{what}: pressure[{i}]");
-        }
-    }
-
-    // The raw-speed switches (SELL SpMV, lane kernels, batched SGS)
-    // must not move a single bit of the flow state relative to the
-    // committed opt pipeline — this is what keeps the opt golden valid
-    // without a rebless.
-    #[test]
-    fn raw_speed_switches_are_bit_identical() {
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
-        let pool = ThreadPool::new(2);
-        let base = LayoutPlan {
-            batched_assembly: true,
-            fused_solver: true,
-            ..LayoutPlan::default()
-        };
-        let fast = LayoutPlan {
-            sell_spmv: true,
-            lane_kernels: true,
-            batched_sgs: true,
-            ..base
-        };
-        let sa = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, base), &pool);
-        let sb = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, fast), &pool);
-        assert_state_bits_equal(&sa, &sb, "sell+lanes+batched-sgs");
-    }
-
-    // The matrix-free momentum path accumulates per row in serial
-    // assembly order, so against a serially-assembled reference the
-    // whole step is bit-identical.
-    #[test]
-    fn matfree_step_bit_identical_to_assembled_serial() {
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
-        let pool = ThreadPool::new(2);
-        let assembled = LayoutPlan::default();
-        let matfree = LayoutPlan { matrix_free: true, ..LayoutPlan::default() };
-        let sa =
-            step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, assembled), &pool);
-        let sb =
-            step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, matfree), &pool);
-        assert_state_bits_equal(&sa, &sb, "matrix-free momentum");
     }
 
     #[test]

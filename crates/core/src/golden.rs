@@ -147,12 +147,13 @@ pub fn render_golden_header(config: &SimulationConfig, n_ranks: usize) -> String
         airway.mesh.num_nodes(),
     )
     .unwrap();
-    // The layout marker is appended only when an optimization is on, so
-    // the default document stays byte-identical to pre-layout goldens.
-    let layout_marker = if config.layout.is_default() {
-        String::new()
-    } else {
+    // The layout marker carries the variant's own label and is omitted
+    // only for the default, so the default document stays byte-identical
+    // to pre-layout goldens and no two layouts share a header.
+    let layout_marker = if config.layout.is_opt() {
         format!(" layout={}", config.layout.label())
+    } else {
+        String::new()
     };
     writeln!(
         w,

@@ -64,21 +64,24 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
 
 /// Resolve the effective [`LayoutPlan`] from an explicit flag value and
 /// the `CFPD_LAYOUT` environment variable, **flag beats env**. This is
-/// the one place the precedence is decided; `cfpd golden --layout` and
-/// the campaign DSL's `layout =` key both go through it.
+/// the one place the precedence is decided; `cfpd golden --layout`,
+/// `cfpd report --layout` and the campaign DSL's `layout =` key all go
+/// through it.
 ///
-/// `flag` is the raw `--layout` value: `"opt"`, `"opt-matfree"`,
-/// `"default"`, or absent.
+/// `flag` is the raw `--layout` value: `"default"`, `"opt"`, or absent.
+/// With no flag, an unset or empty `CFPD_LAYOUT` means the default. Any
+/// other value, from either source, is an error naming the accepted
+/// values.
 pub fn resolve_layout(flag: Option<&str>) -> Result<LayoutPlan, String> {
-    match flag {
-        Some("opt") => Ok(LayoutPlan::optimized()),
-        Some("opt-matfree") => Ok(LayoutPlan { matrix_free: true, ..LayoutPlan::optimized() }),
-        Some("default") => Ok(LayoutPlan::disabled()),
-        Some(other) => {
-            Err(format!("unknown layout {other:?} (expected: default, opt, opt-matfree)"))
-        }
-        None => Ok(LayoutPlan::from_env()),
-    }
+    let (value, source) = match flag {
+        Some(v) => (v.to_string(), ""),
+        None => match std::env::var("CFPD_LAYOUT") {
+            Ok(v) if !v.is_empty() => (v, " from CFPD_LAYOUT"),
+            _ => return Ok(LayoutPlan::Default),
+        },
+    };
+    LayoutPlan::parse(&value)
+        .ok_or_else(|| format!("unknown layout {value:?}{source} (expected: default, opt)"))
 }
 
 #[cfg(test)]
@@ -99,8 +102,12 @@ mod tests {
 
     #[test]
     fn explicit_layout_flag_is_authoritative() {
-        assert_eq!(resolve_layout(Some("opt")).unwrap(), LayoutPlan::optimized());
-        assert_eq!(resolve_layout(Some("default")).unwrap(), LayoutPlan::disabled());
-        assert!(resolve_layout(Some("fast")).is_err());
+        assert_eq!(resolve_layout(Some("opt")).unwrap(), LayoutPlan::Opt);
+        assert_eq!(resolve_layout(Some("default")).unwrap(), LayoutPlan::Default);
+        // Unknown and removed values fail and name the accepted ones.
+        for bad in ["fast", "opt-matfree"] {
+            let err = resolve_layout(Some(bad)).unwrap_err();
+            assert!(err.contains(bad) && err.contains("expected: default, opt"), "{err}");
+        }
     }
 }

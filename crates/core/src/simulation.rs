@@ -284,7 +284,7 @@ pub fn run_simulation_fallible(
     // Shared immutable setup (every rank would compute the identical
     // mesh; do it once).
     let mut airway = generate_airway(&config.airway).expect("valid airway spec");
-    if config.layout.rcm {
+    if config.layout.is_opt() {
         // Locality layout: renumber nodes with reverse Cuthill–McKee
         // before anything derives data from node ids (CSR patterns,
         // partitions, boundary sets), so every downstream structure

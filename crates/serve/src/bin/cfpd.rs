@@ -6,10 +6,11 @@
 //!               [--particles N] [--steps N] [--strategy S]
 //!               [--hetero PROFILE] [--dlb-policy reactive|predictive]
 //! cfpd profile  [--ranks N] [--particles N]         Table-1-style profile
-//! cfpd golden   [--ranks N] [--layout opt]          deterministic trace
+//! cfpd golden   [--ranks N] [--layout default|opt]  deterministic trace
 //! cfpd chaos    [--seed S] [--ranks N] [--dlb] [--storm] [--json]
 //!                                                   seeded fault-injection run
-//! cfpd report   [--ranks N] [--json]                telemetry + POP rollup
+//! cfpd report   [--ranks N] [--layout default|opt] [--json]
+//!                                                   telemetry + POP rollup
 //! cfpd campaign expand|run|report FILE              scenario matrix engine
 //! cfpd serve    run|submit|status|result|cancel|metrics|drain
 //!                                                   crash-safe job daemon
@@ -64,9 +65,10 @@ fn main() {
                  \x20        --particles N  --steps N  --strategy atomics|coloring|multidep|serial\n\
                  \x20        --hetero uniform|mn4_thunder|thunder_tail  --dlb-policy reactive|predictive\n\
                  profile  --ranks N  --particles N\n\
-                 golden   --ranks N  --layout opt|default  --trace DIR\n\
+                 golden   --ranks N  --layout default|opt  --trace DIR\n\
                  chaos    --seed S  --ranks N  --dlb  --storm  --json  --trace DIR\n\
-                 report   --ranks N  --json  --trace DIR  --baseline JSON [--tolerance X]\n\
+                 report   --ranks N  --layout default|opt  --json  --trace DIR\n\
+                 \x20        --baseline JSON [--tolerance X]\n\
                  trace    export --ranks N --dlb --out DIR | analyze [--threads N] [--strategy S] [--dlb] | diff A B\n\
                  campaign expand FILE | run FILE [--jobs N] [--json] [--report PATH] [--timing]\n\
                  \x20        [--cell-timeout SECS] | report FILE --baseline PATH [--jobs N]\n\
@@ -830,19 +832,25 @@ fn cmd_run(flags: &Flags) {
     println!("total: {:.3}s", r.total_time);
 }
 
+/// The canonical golden config with its layout resolved from `--layout`
+/// and `CFPD_LAYOUT` — one resolution point (flag beats env), shared
+/// with the campaign DSL's `layout =` key. Exits 2 on an unknown value.
+fn golden_config_with_layout(flags: &Flags) -> SimulationConfig {
+    let mut config = golden_config();
+    config.layout = resolve_layout(flags.get("--layout")).unwrap_or_else(|e| {
+        eprintln!("layout: {e}");
+        std::process::exit(2);
+    });
+    config
+}
+
 /// Print the deterministic golden trace of the canonical small run:
 /// byte-identical output on every invocation with the same flags.
 /// `--layout opt` (or `CFPD_LAYOUT=opt`) runs the locality-optimized
 /// path, which is pinned by its own golden file.
 fn cmd_golden(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
-    let mut config = golden_config();
-    // One resolution point for flag vs CFPD_LAYOUT (flag beats env) —
-    // shared with the campaign DSL's `layout =` key.
-    config.layout = resolve_layout(flags.get("--layout")).unwrap_or_else(|e| {
-        eprintln!("--layout: {e}");
-        std::process::exit(2);
-    });
+    let config = golden_config_with_layout(flags);
     match flags.get("--trace") {
         // Traced run: stdout stays byte-identical to the untraced golden
         // (tracing never touches the logical log); the structured trace
@@ -1030,9 +1038,10 @@ fn storm_json(seed: u64, ranks: usize, deadlock: bool, fails: &[(usize, String)]
     w.finish()
 }
 
-/// Run the canonical golden-config simulation with telemetry enabled
-/// and print the merged snapshot — counters, gauges, histograms and the
-/// online POP rollup — as a text table or (`--json`) one JSON document.
+/// Run the canonical golden-config simulation (layout resolved as for
+/// `golden`) with telemetry enabled and print the merged snapshot —
+/// counters, gauges, histograms and the online POP rollup — as a text
+/// table or (`--json`) one JSON document.
 ///
 /// The output also carries a `trace_crosscheck` section computing the
 /// same POP metrics post hoc from the wall-clock `cfpd_trace` events of
@@ -1041,7 +1050,7 @@ fn storm_json(seed: u64, ranks: usize, deadlock: bool, fails: &[(usize, String)]
 /// in for full tracing in production.
 fn cmd_report(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
-    let config = golden_config();
+    let config = golden_config_with_layout(flags);
     let trace_dir = flags.get("--trace").map(PathBuf::from);
     cfpd_telemetry::set_enabled(true);
     cfpd_telemetry::reset();

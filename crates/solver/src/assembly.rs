@@ -68,17 +68,9 @@ pub struct AssemblyPlan {
     subdomains: Option<(Vec<Vec<u32>>, Vec<Vec<usize>>)>,
     /// Grain for the atomics parallel loop.
     grain: usize,
-    /// Kind-batched SoA schedule (opt-in `LayoutPlan`): one batch set
-    /// per parallel unit of the strategy.
+    /// Kind-batched SoA schedule (the `opt` layout): one batch set per
+    /// parallel unit of the strategy.
     batches: Option<crate::batch::BatchSchedule>,
-    /// Evaluate batched element kernels [`crate::lanes::LANES`] elements
-    /// at a time over lane-SoA scratch (bit-identical per element; see
-    /// [`crate::lanes`]). Only consulted by the batched paths.
-    pub lane_kernels: bool,
-    /// Run SGS sweeps through the kind-batched cached-gather schedule
-    /// instead of the per-element strategy loop (bit-identical — SGS
-    /// elements are mutually independent).
-    pub batched_sgs: bool,
 }
 
 /// Counters describing one assembly execution, consumed by the
@@ -117,8 +109,6 @@ impl AssemblyPlan {
             subdomains: None,
             grain: 32,
             batches: None,
-            lane_kernels: false,
-            batched_sgs: false,
             elems,
         };
         match strategy {
@@ -160,7 +150,7 @@ impl AssemblyPlan {
 
     /// [`AssemblyPlan::new`] plus a kind-batched SoA schedule built
     /// against `pattern`'s sparsity (gather lists, precomputed scatter
-    /// indices, cached element lengths) — the opt-in `LayoutPlan`
+    /// indices, cached element lengths) — the `opt` layout's
     /// batched-assembly path. The momentum and Poisson matrices of a
     /// mesh share one pattern, so one schedule serves both systems.
     pub fn with_batches(

@@ -1,4 +1,4 @@
-//! Kind-batched SoA assembly: the opt-in locality path for the matrix
+//! Kind-batched SoA assembly: the `opt` layout's path for the matrix
 //! assembly phase.
 //!
 //! The default assembly loop dispatches on `ElementKind` per element
@@ -12,13 +12,16 @@
 //! * `h`       — cached characteristic element lengths (no per-element
 //!   volume computation in the hot loop).
 //!
-//! Inside a batch the quadrature kernels are monomorphized over the
-//! node count ([`crate::kernels::momentum_kernel_n`]), so the inner
-//! loops have compile-time trip counts and no per-element branch. The
+//! Inside a batch, whole groups of [`LANES`] elements run through the
+//! lane-SoA kernels ([`crate::lanes`]) and the remainder through scalar
+//! kernels monomorphized over the node count
+//! ([`crate::kernels::momentum_kernel_n`]), so the inner loops have
+//! compile-time trip counts and no per-element branch. The
 //! floating-point sequence per element is identical to the dynamic
 //! kernels — local matrices are bit-identical; only the order elements
-//! are visited (grouped by kind) differs, which the strategy-equivalence
-//! tolerance already covers.
+//! are visited (grouped by kind) differs. That regroups the scatter-add
+//! summation, so batched assembly moves bits relative to the default
+//! path, within the strategy-equivalence tolerance.
 
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
 use crate::csr::{AtomicView, CsrMatrix, DisjointView};
@@ -168,17 +171,63 @@ impl ScatterSink for DisjointSink<'_> {
 }
 
 /// What one batched sweep computes per element; implemented by the
-/// momentum and Poisson contexts. `run` processes `range` of `batch`
-/// with a monomorphized kernel and scatters through `sink`.
+/// momentum and Poisson contexts. Both entry points are monomorphized
+/// over the node count and scatter through `sink`.
 trait BatchCtx: Sync {
     const RHS_DIM: usize;
-    fn run<S: ScatterSink>(
+
+    /// Element `b` of `batch` through the scalar kernel.
+    fn run_one<const NN: usize, S: ScatterSink>(
         &self,
+        batch: &KindBatch,
+        b: usize,
+        scratch: &mut ElementScratch,
+        sink: &S,
+    );
+
+    /// Elements `b..b + LANES` of `batch` through the lane kernel,
+    /// scattered lane by lane in element order: the adds land in the
+    /// same sequence as [`BatchCtx::run_one`] over the same elements.
+    fn run_lanes<const NN: usize, S: ScatterSink>(
+        &self,
+        batch: &KindBatch,
+        b: usize,
+        ls: &mut LaneScratch,
+        sink: &S,
+    );
+}
+
+/// Process `range` of `batch`: whole groups of [`LANES`] elements
+/// through the lane kernel, the remainder through the scalar kernel.
+fn run_range<C: BatchCtx, S: ScatterSink>(
+    ctx: &C,
+    batch: &KindBatch,
+    range: Range<usize>,
+    scratch: &mut ElementScratch,
+    sink: &S,
+) {
+    fn run_n<const NN: usize, C: BatchCtx, S: ScatterSink>(
+        ctx: &C,
         batch: &KindBatch,
         range: Range<usize>,
         scratch: &mut ElementScratch,
         sink: &S,
-    );
+    ) {
+        let mut b = range.start;
+        let mut ls = LaneScratch::default();
+        while b + LANES <= range.end {
+            ctx.run_lanes::<NN, S>(batch, b, &mut ls, sink);
+            b += LANES;
+        }
+        for bb in b..range.end {
+            ctx.run_one::<NN, S>(batch, bb, scratch, sink);
+        }
+    }
+    match batch.kind {
+        ElementKind::Tet4 => run_n::<4, C, S>(ctx, batch, range, scratch, sink),
+        ElementKind::Pyr5 => run_n::<5, C, S>(ctx, batch, range, scratch, sink),
+        ElementKind::Pri6 => run_n::<6, C, S>(ctx, batch, range, scratch, sink),
+    }
 }
 
 struct MomentumCtx<'a> {
@@ -189,10 +238,11 @@ struct MomentumCtx<'a> {
     props: FluidProps,
     dt: f64,
     body_force: Vec3,
-    lanes: bool,
 }
 
-impl MomentumCtx<'_> {
+impl BatchCtx for MomentumCtx<'_> {
+    const RHS_DIM: usize = 3;
+
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
@@ -218,67 +268,30 @@ impl MomentumCtx<'_> {
         }
     }
 
-    fn run_n<const NN: usize, S: ScatterSink>(
+    fn run_lanes<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
-        range: Range<usize>,
-        scratch: &mut ElementScratch,
+        b: usize,
+        ls: &mut LaneScratch,
         sink: &S,
     ) {
-        let mut b = range.start;
-        if self.lanes {
-            let re = &self.refs[RefElement::index_of(batch.kind)];
-            let mut ls = LaneScratch::default();
-            while b + LANES <= range.end {
-                ls.load(
-                    self.coords,
-                    self.velocity,
-                    Some(self.pressure),
-                    &batch.gather,
-                    &batch.h,
-                    NN,
-                    b,
-                );
-                let lm = momentum_kernel_lanes::<NN>(re, &ls, self.props, self.dt, self.body_force)
-                    .expect("degenerate element");
-                // Scatter lane-by-lane in element order: the adds land
-                // in the same sequence as the scalar loop.
-                for l in 0..LANES {
-                    let bb = b + l;
-                    let nodes = &batch.gather[bb * NN..(bb + 1) * NN];
-                    let sc = &batch.scatter[bb * NN * NN..(bb + 1) * NN * NN];
-                    for i in 0..NN {
-                        for j in 0..NN {
-                            sink.add_matrix(sc[i * NN + j] as usize, lm.a[i][j][l]);
-                        }
-                        let gi = nodes[i] as usize;
-                        for c in 0..3 {
-                            sink.add_rhs(c, gi, lm.b[i][c][l]);
-                        }
-                    }
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        ls.load(self.coords, self.velocity, Some(self.pressure), &batch.gather, &batch.h, NN, b);
+        let lm = momentum_kernel_lanes::<NN>(re, ls, self.props, self.dt, self.body_force)
+            .expect("degenerate element");
+        for l in 0..LANES {
+            let bb = b + l;
+            let nodes = &batch.gather[bb * NN..(bb + 1) * NN];
+            let sc = &batch.scatter[bb * NN * NN..(bb + 1) * NN * NN];
+            for i in 0..NN {
+                for j in 0..NN {
+                    sink.add_matrix(sc[i * NN + j] as usize, lm.a[i][j][l]);
                 }
-                b += LANES;
+                let gi = nodes[i] as usize;
+                for c in 0..3 {
+                    sink.add_rhs(c, gi, lm.b[i][c][l]);
+                }
             }
-        }
-        for bb in b..range.end {
-            self.run_one::<NN, S>(batch, bb, scratch, sink);
-        }
-    }
-}
-
-impl BatchCtx for MomentumCtx<'_> {
-    const RHS_DIM: usize = 3;
-    fn run<S: ScatterSink>(
-        &self,
-        batch: &KindBatch,
-        range: Range<usize>,
-        scratch: &mut ElementScratch,
-        sink: &S,
-    ) {
-        match batch.kind {
-            ElementKind::Tet4 => self.run_n::<4, S>(batch, range, scratch, sink),
-            ElementKind::Pyr5 => self.run_n::<5, S>(batch, range, scratch, sink),
-            ElementKind::Pri6 => self.run_n::<6, S>(batch, range, scratch, sink),
         }
     }
 }
@@ -289,10 +302,11 @@ struct PoissonCtx<'a> {
     velocity: &'a [Vec3],
     props: FluidProps,
     dt: f64,
-    lanes: bool,
 }
 
-impl PoissonCtx<'_> {
+impl BatchCtx for PoissonCtx<'_> {
+    const RHS_DIM: usize = 1;
+
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
@@ -314,54 +328,27 @@ impl PoissonCtx<'_> {
         }
     }
 
-    fn run_n<const NN: usize, S: ScatterSink>(
+    fn run_lanes<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
-        range: Range<usize>,
-        scratch: &mut ElementScratch,
+        b: usize,
+        ls: &mut LaneScratch,
         sink: &S,
     ) {
-        let mut b = range.start;
-        if self.lanes {
-            let re = &self.refs[RefElement::index_of(batch.kind)];
-            let mut ls = LaneScratch::default();
-            while b + LANES <= range.end {
-                ls.load(self.coords, self.velocity, None, &batch.gather, &batch.h, NN, b);
-                let lp = poisson_kernel_lanes::<NN>(re, &ls, self.props, self.dt)
-                    .expect("degenerate element");
-                for l in 0..LANES {
-                    let bb = b + l;
-                    let nodes = &batch.gather[bb * NN..(bb + 1) * NN];
-                    let sc = &batch.scatter[bb * NN * NN..(bb + 1) * NN * NN];
-                    for i in 0..NN {
-                        for j in 0..NN {
-                            sink.add_matrix(sc[i * NN + j] as usize, lp.l[i][j][l]);
-                        }
-                        sink.add_rhs(0, nodes[i] as usize, lp.b[i][l]);
-                    }
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        ls.load(self.coords, self.velocity, None, &batch.gather, &batch.h, NN, b);
+        let lp =
+            poisson_kernel_lanes::<NN>(re, ls, self.props, self.dt).expect("degenerate element");
+        for l in 0..LANES {
+            let bb = b + l;
+            let nodes = &batch.gather[bb * NN..(bb + 1) * NN];
+            let sc = &batch.scatter[bb * NN * NN..(bb + 1) * NN * NN];
+            for i in 0..NN {
+                for j in 0..NN {
+                    sink.add_matrix(sc[i * NN + j] as usize, lp.l[i][j][l]);
                 }
-                b += LANES;
+                sink.add_rhs(0, nodes[i] as usize, lp.b[i][l]);
             }
-        }
-        for bb in b..range.end {
-            self.run_one::<NN, S>(batch, bb, scratch, sink);
-        }
-    }
-}
-
-impl BatchCtx for PoissonCtx<'_> {
-    const RHS_DIM: usize = 1;
-    fn run<S: ScatterSink>(
-        &self,
-        batch: &KindBatch,
-        range: Range<usize>,
-        scratch: &mut ElementScratch,
-        sink: &S,
-    ) {
-        match batch.kind {
-            ElementKind::Tet4 => self.run_n::<4, S>(batch, range, scratch, sink),
-            ElementKind::Pyr5 => self.run_n::<5, S>(batch, range, scratch, sink),
-            ElementKind::Pri6 => self.run_n::<6, S>(batch, range, scratch, sink),
         }
     }
 }
@@ -375,7 +362,7 @@ fn run_set<C: BatchCtx, S: ScatterSink>(
     sink: &S,
 ) {
     for batch in &set.batches {
-        ctx.run(batch, 0..batch.len(), scratch, sink);
+        run_range(ctx, batch, 0..batch.len(), scratch, sink);
     }
 }
 
@@ -429,7 +416,7 @@ fn assemble_batched<C: BatchCtx>(
                 for batch in &set.batches {
                     parallel_for(pool, 0..batch.len(), plan.atomics_grain(), |range| {
                         let mut scratch = ElementScratch::default();
-                        ctx.run(batch, range, &mut scratch, &sink);
+                        run_range(ctx, batch, range, &mut scratch, &sink);
                     });
                 }
             }
@@ -450,7 +437,7 @@ fn assemble_batched<C: BatchCtx>(
                 for batch in &set.batches {
                     parallel_for(pool, 0..batch.len(), plan.atomics_grain(), |range| {
                         let mut scratch = ElementScratch::default();
-                        ctx.run(batch, range, &mut scratch, &sink);
+                        run_range(ctx, batch, range, &mut scratch, &sink);
                     });
                 }
             }
@@ -501,7 +488,6 @@ pub fn assemble_momentum_batched(
         props,
         dt,
         body_force,
-        lanes: plan.lane_kernels,
     };
     assemble_batched(pool, mesh, plan, &ctx, matrix, rhs)
 }
@@ -519,8 +505,7 @@ pub fn assemble_poisson_batched(
     matrix: &mut CsrMatrix,
     rhs: &mut [Vec<f64>],
 ) -> AssemblyStats {
-    let ctx =
-        PoissonCtx { refs, coords: &mesh.coords, velocity, props, dt, lanes: plan.lane_kernels };
+    let ctx = PoissonCtx { refs, coords: &mesh.coords, velocity, props, dt };
     assemble_batched(pool, mesh, plan, &ctx, matrix, rhs)
 }
 
@@ -604,9 +589,37 @@ mod tests {
         }
     }
 
-    /// Serial batched assembly with lane kernels must be *bit-identical*
-    /// to serial batched assembly with scalar kernels: same per-element
-    /// bits (lane-kernel property tests) scattered in the same order.
+    /// The scalar batched loop: serial batched assembly with every
+    /// element through [`BatchCtx::run_one`]. The reference the lane
+    /// kernels must reproduce bit for bit.
+    fn assemble_scalar_batched<C: BatchCtx>(
+        plan: &AssemblyPlan,
+        ctx: &C,
+        matrix: &mut CsrMatrix,
+        rhs: &mut [Vec<f64>],
+    ) {
+        let (_, values) = matrix.split_mut();
+        let sink = DisjointSink {
+            matrix: DisjointView::from_slice(values),
+            rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect(),
+        };
+        let mut scratch = ElementScratch::default();
+        for set in &plan.batch_schedule().unwrap().units {
+            for batch in &set.batches {
+                for b in 0..batch.len() {
+                    match batch.kind {
+                        ElementKind::Tet4 => ctx.run_one::<4, _>(batch, b, &mut scratch, &sink),
+                        ElementKind::Pyr5 => ctx.run_one::<5, _>(batch, b, &mut scratch, &sink),
+                        ElementKind::Pri6 => ctx.run_one::<6, _>(batch, b, &mut scratch, &sink),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Serial batched assembly (lane kernels, scalar remainder) must be
+    /// *bit-identical* to the scalar batched loop: same per-element bits
+    /// (lane-kernel property tests) scattered in the same order.
     #[test]
     fn lane_batched_assembly_bit_identical_to_scalar_batched() {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
@@ -619,49 +632,37 @@ mod tests {
             mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
         let pressure: Vec<f64> = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        let plan =
+            AssemblyPlan::with_batches(mesh, elems, AssemblyStrategy::Serial, 16, &template);
+        let (props, dt, body_force) = (FluidProps::default(), 1e-4, Vec3::new(0.0, 0.0, -9.81));
+        let n = mesh.num_nodes();
 
-        let run = |lanes: bool| {
-            let mut plan = AssemblyPlan::with_batches(
-                mesh,
-                elems.clone(),
-                AssemblyStrategy::Serial,
-                16,
-                &template,
-            );
-            plan.lane_kernels = lanes;
-            let mut a_u = template.clone();
-            let mut rhs_u = vec![vec![0.0; mesh.num_nodes()]; 3];
-            assemble_momentum_batched(
-                &pool,
-                &refs,
-                mesh,
-                &plan,
-                &velocity,
-                &pressure,
-                FluidProps::default(),
-                1e-4,
-                Vec3::new(0.0, 0.0, -9.81),
-                &mut a_u,
-                &mut rhs_u,
-            );
-            let mut a_p = template.clone();
-            let mut rhs_p = vec![vec![0.0; mesh.num_nodes()]];
-            assemble_poisson_batched(
-                &pool,
-                &refs,
-                mesh,
-                &plan,
-                &velocity,
-                FluidProps::default(),
-                1e-4,
-                &mut a_p,
-                &mut rhs_p,
-            );
-            (a_u, rhs_u, a_p, rhs_p)
+        let (mut au_l, mut ru_l) = (template.clone(), vec![vec![0.0; n]; 3]);
+        assemble_momentum_batched(
+            &pool, &refs, mesh, &plan, &velocity, &pressure, props, dt, body_force, &mut au_l,
+            &mut ru_l,
+        );
+        let (mut ap_l, mut rp_l) = (template.clone(), vec![vec![0.0; n]]);
+        assemble_poisson_batched(
+            &pool, &refs, mesh, &plan, &velocity, props, dt, &mut ap_l, &mut rp_l,
+        );
+
+        let momentum = MomentumCtx {
+            refs: &refs,
+            coords: &mesh.coords,
+            velocity: &velocity,
+            pressure: &pressure,
+            props,
+            dt,
+            body_force,
         };
+        let (mut au_s, mut ru_s) = (template.clone(), vec![vec![0.0; n]; 3]);
+        assemble_scalar_batched(&plan, &momentum, &mut au_s, &mut ru_s);
+        let poisson =
+            PoissonCtx { refs: &refs, coords: &mesh.coords, velocity: &velocity, props, dt };
+        let (mut ap_s, mut rp_s) = (template.clone(), vec![vec![0.0; n]]);
+        assemble_scalar_batched(&plan, &poisson, &mut ap_s, &mut rp_s);
 
-        let (au_s, ru_s, ap_s, rp_s) = run(false);
-        let (au_l, ru_l, ap_l, rp_l) = run(true);
         for (k, (x, y)) in au_l.values.iter().zip(&au_s.values).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "momentum entry {k}: {x} vs {y}");
         }

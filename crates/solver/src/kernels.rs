@@ -342,23 +342,6 @@ pub fn sgs_kernel(
     tol: f64,
 ) -> usize {
     let re = &refs[RefElement::index_of(kind)];
-    sgs_kernel_on(re, scratch, nn, props, h_elem, sgs, max_iters, tol)
-}
-
-/// [`sgs_kernel`] with the reference element resolved by the caller
-/// (the kind-batched SGS sweep hoists the dispatch out of its hot
-/// loop). Identical floating-point sequence.
-#[allow(clippy::too_many_arguments)]
-pub fn sgs_kernel_on(
-    re: &RefElement,
-    scratch: &ElementScratch,
-    nn: usize,
-    props: FluidProps,
-    h_elem: f64,
-    sgs: &mut [Vec3],
-    max_iters: usize,
-    tol: f64,
-) -> usize {
     let nu = props.viscosity / props.density;
     let mut iters_used = 1;
     for (q, qp) in re.qps.iter().enumerate() {

@@ -4,32 +4,6 @@
 
 use crate::csr::CsrMatrix;
 
-/// A linear operator y = A x, abstracting over assembled sparse
-/// matrices and matrix-free element stores. Solvers written against
-/// this trait (currently [`bicgstab`]) run bit-identically on either
-/// representation when the two `apply` implementations agree to the bit
-/// (asserted by the matfree property tests).
-pub trait LinearOperator {
-    /// Number of rows/columns.
-    fn size(&self) -> usize;
-    /// y = A x.
-    fn apply(&self, x: &[f64], y: &mut [f64]);
-    /// Diagonal entries (for Jacobi preconditioning).
-    fn diagonal(&self) -> Vec<f64>;
-}
-
-impl LinearOperator for CsrMatrix {
-    fn size(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv(x, y)
-    }
-    fn diagonal(&self) -> Vec<f64> {
-        CsrMatrix::diagonal(self)
-    }
-}
-
 /// Result of an iterative solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
@@ -118,20 +92,12 @@ pub fn cg_with_history(
     SolveStats { iterations: max_iters, residual: res, converged: res < tol }
 }
 
-/// Jacobi-preconditioned BiCGSTAB for nonsymmetric systems. Generic
-/// over [`LinearOperator`] so the momentum solve can run either on the
-/// assembled CSR matrix or the matrix-free element store.
-pub fn bicgstab<A: LinearOperator + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-) -> SolveStats {
-    let n = a.size();
+/// Jacobi-preconditioned BiCGSTAB for nonsymmetric systems.
+pub fn bicgstab(a: &CsrMatrix, b: &[f64], x: &mut [f64], tol: f64, max_iters: usize) -> SolveStats {
+    let n = a.n;
     let diag = a.diagonal();
     let mut r = vec![0.0; n];
-    a.apply(x, &mut r);
+    a.spmv(x, &mut r);
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
@@ -163,7 +129,7 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             p[i] = r[i] + beta * (p[i] - omega * v[i]);
         }
         jacobi(&diag, &p, &mut phat);
-        a.apply(&phat, &mut v);
+        a.spmv(&phat, &mut v);
         let r0v = dot(&r0, &v);
         if r0v.abs() < 1e-300 {
             return SolveStats { iterations: it, residual: res, converged: false };
@@ -179,7 +145,7 @@ pub fn bicgstab<A: LinearOperator + ?Sized>(
             return SolveStats { iterations: it + 1, residual: norm(&s) / b_norm, converged: true };
         }
         jacobi(&diag, &s, &mut shat);
-        a.apply(&shat, &mut t);
+        a.spmv(&shat, &mut t);
         let tt = dot(&t, &t);
         if tt.abs() < 1e-300 {
             return SolveStats { iterations: it, residual: res, converged: false };

@@ -14,10 +14,11 @@
 //! * [`csr`] — sparse storage with atomic and disjoint concurrent
 //!   scatter views; [`shape`] / [`kernels`] — isoparametric elements and
 //!   the local integrals;
-//! * **Locality hot path** ([`layout`] / [`batch`] / fused kernels in
-//!   [`parallel`]) — the opt-in `LayoutPlan`: RCM-renumbered meshes,
-//!   kind-batched SoA assembly with precomputed gather/scatter lists,
-//!   and a fused nnz-balanced deterministic parallel CG.
+//! * **Locality hot path** ([`layout`] / [`batch`] / [`lanes`] / fused
+//!   kernels in [`parallel`] / [`sell`]) — `LayoutPlan::Opt`:
+//!   RCM-renumbered meshes, kind-batched lane-kernel assembly with
+//!   precomputed gather/scatter lists, and a fused nnz-balanced
+//!   deterministic parallel CG over a SELL-C-σ matrix mirror.
 
 pub mod assembly;
 pub mod batch;
@@ -26,7 +27,6 @@ pub mod kernels;
 pub mod krylov;
 pub mod lanes;
 pub mod layout;
-pub mod matfree;
 pub mod parallel;
 pub mod sell;
 pub mod sgs;
@@ -41,13 +41,12 @@ pub use batch::{
 };
 pub use csr::{AtomicView, CsrMatrix, CsrPattern, DisjointView};
 pub use kernels::{ElementScratch, FluidProps};
-pub use krylov::{bicgstab, cg, cg_with_history, LinearOperator, SolveStats};
+pub use krylov::{bicgstab, cg, cg_with_history, SolveStats};
 pub use lanes::{momentum_kernel_lanes, poisson_kernel_lanes, LaneScratch, LANES};
 pub use layout::LayoutPlan;
-pub use matfree::MatFreeMomentum;
 pub use parallel::{
-    axpy_dot_fused, cg_fused, cg_fused_history, cg_fused_sell, cg_parallel, dot_ranges,
-    spmv_dot_fused, spmv_sell_parallel_on,
+    axpy_dot_fused, cg_fused, cg_fused_history, cg_fused_sell, dot_ranges, spmv_dot_fused,
+    spmv_sell_parallel_on,
 };
 pub use sell::{SellMatrix, SELL_C, SELL_SIGMA};
 pub use sgs::{compute_sgs, SgsField, SgsStats};

@@ -21,7 +21,7 @@
 use crate::csr::CsrMatrix;
 use crate::krylov::SolveStats;
 use crate::sell::SellMatrix;
-use cfpd_runtime::{parallel_dot, parallel_for_ranges, ThreadPool};
+use cfpd_runtime::{parallel_for_ranges, ThreadPool};
 use std::cell::UnsafeCell;
 use std::ops::Range;
 
@@ -75,13 +75,6 @@ impl CsrMatrix {
         cfpd_runtime::balanced_ranges(&self.row_ptr, max_chunks)
     }
 
-    /// y = A x with rows distributed over the pool's active executors,
-    /// chunked by nonzero count (not a fixed row grain).
-    pub fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        let ranges = self.row_chunks(spmv_chunks(pool));
-        self.spmv_parallel_on(pool, &ranges, x, y);
-    }
-
     /// y = A x over a precomputed row-chunk decomposition (compute the
     /// chunks once per solve, not once per SpMV).
     pub fn spmv_parallel_on(
@@ -108,12 +101,6 @@ impl CsrMatrix {
             }
         });
     }
-}
-
-/// Row-chunk count for stand-alone parallel SpMVs: a few chunks per
-/// executor for dynamic balance.
-fn spmv_chunks(pool: &ThreadPool) -> usize {
-    pool.max_workers().max(1) * 4
 }
 
 /// Fused y = A x and xᵀy (e.g. p·Ap of a CG iteration) in one parallel
@@ -274,65 +261,6 @@ pub fn axpy_dot_fused(
         });
     }
     parts.iter().sum()
-}
-
-/// Jacobi-preconditioned CG with pool-parallel SpMV and dot products —
-/// numerically equivalent to [`crate::krylov::cg`] up to FP reduction
-/// order (the dots use the pool's nondeterministic tree reduction; for
-/// a bit-reproducible parallel solve use [`cg_fused`]).
-pub fn cg_parallel(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    pool: &ThreadPool,
-) -> SolveStats {
-    let n = a.n;
-    let diag = a.diagonal();
-    let ranges = a.row_chunks(spmv_chunks(pool));
-    let mut r = vec![0.0; n];
-    a.spmv_parallel_on(pool, &ranges, x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    let b_norm = parallel_dot(pool, b, b).sqrt().max(1e-300);
-    let jacobi = |r: &[f64], z: &mut [f64]| {
-        for i in 0..r.len() {
-            let d = diag[i];
-            z[i] = if d.abs() > 1e-300 { r[i] / d } else { r[i] };
-        }
-    };
-    let mut z = vec![0.0; n];
-    jacobi(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz = parallel_dot(pool, &r, &z);
-    let mut ap = vec![0.0; n];
-    for it in 0..max_iters {
-        let res = parallel_dot(pool, &r, &r).sqrt() / b_norm;
-        if res < tol {
-            return SolveStats { iterations: it, residual: res, converged: true };
-        }
-        a.spmv_parallel_on(pool, &ranges, &p, &mut ap);
-        let pap = parallel_dot(pool, &p, &ap);
-        if pap.abs() < 1e-300 {
-            return SolveStats { iterations: it, residual: res, converged: false };
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        jacobi(&r, &mut z);
-        let rz_new = parallel_dot(pool, &r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    let res = parallel_dot(pool, &r, &r).sqrt() / b_norm;
-    SolveStats { iterations: max_iters, residual: res, converged: res < tol }
 }
 
 /// Fused, deterministic, Jacobi-preconditioned parallel CG: the same
@@ -544,7 +472,7 @@ fn cg_fused_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::krylov::{cg, cg_with_history};
+    use crate::krylov::cg_with_history;
 
     fn poisson_1d(n: usize) -> CsrMatrix {
         let mut row_ptr = vec![0u32];
@@ -564,20 +492,6 @@ mod tests {
             row_ptr.push(col_idx.len() as u32);
         }
         CsrMatrix { n, row_ptr, col_idx, values }
-    }
-
-    #[test]
-    fn parallel_spmv_matches_serial() {
-        let a = poisson_1d(500);
-        let x: Vec<f64> = (0..500).map(|i| (i as f64 * 0.1).cos()).collect();
-        let mut y_serial = vec![0.0; 500];
-        let mut y_par = vec![0.0; 500];
-        a.spmv(&x, &mut y_serial);
-        let pool = ThreadPool::new(4);
-        a.spmv_parallel(&pool, &x, &mut y_par);
-        for i in 0..500 {
-            assert!((y_serial[i] - y_par[i]).abs() < 1e-14, "row {i}");
-        }
     }
 
     #[test]
@@ -630,38 +544,6 @@ mod tests {
             assert_eq!(y[i].to_bits(), y_ref[i].to_bits(), "y[{i}] not exact");
         }
         assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
-    }
-
-    #[test]
-    fn parallel_cg_matches_serial_solution() {
-        let n = 200;
-        let a = poisson_1d(n);
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64).collect();
-        let mut b = vec![0.0; n];
-        a.spmv(&x_true, &mut b);
-        let pool = ThreadPool::new(4);
-        let mut x_par = vec![0.0; n];
-        let s_par = cg_parallel(&a, &b, &mut x_par, 1e-12, 2000, &pool);
-        let mut x_ser = vec![0.0; n];
-        let s_ser = cg(&a, &b, &mut x_ser, 1e-12, 2000);
-        assert!(s_par.converged && s_ser.converged);
-        for i in 0..n {
-            assert!((x_par[i] - x_true[i]).abs() < 1e-7, "x[{i}]");
-        }
-        // Similar iteration counts (identical math, different FP order).
-        assert!((s_par.iterations as i64 - s_ser.iterations as i64).abs() <= 3);
-    }
-
-    #[test]
-    fn parallel_cg_respects_shrunk_pool() {
-        // Works with a single active executor too (DLB revoked cores).
-        let a = poisson_1d(64);
-        let b = vec![1.0; 64];
-        let pool = ThreadPool::new(4);
-        pool.set_active(1);
-        let mut x = vec![0.0; 64];
-        let s = cg_parallel(&a, &b, &mut x, 1e-10, 500, &pool);
-        assert!(s.converged);
     }
 
     #[test]

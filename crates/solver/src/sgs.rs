@@ -4,29 +4,13 @@
 //! needed at all (§4.3, Fig. 7).
 
 use crate::assembly::{AssemblyPlan, AssemblyStrategy};
-use crate::kernels::{sgs_kernel, sgs_kernel_on, ElementScratch, FluidProps};
+use crate::kernels::{sgs_kernel, ElementScratch, FluidProps};
 use crate::shape::RefElement;
-use cfpd_mesh::{ElementKind, Mesh, Vec3};
+use cfpd_mesh::{Mesh, Vec3};
 use cfpd_runtime::{
     balanced_ranges, parallel_for, parallel_for_ranges, prefix_weights, Dep, TaskGraph, ThreadPool,
 };
 use std::cell::UnsafeCell;
-
-/// One same-kind batch of the cached SGS sweep schedule: element ids,
-/// a flattened gather list (no `elem_nodes` dispatch in the hot loop),
-/// and a quadrature-count prefix for work-balanced chunking.
-#[derive(Debug)]
-pub struct SgsKindBatch {
-    pub kind: ElementKind,
-    /// Global element ids, in sweep order.
-    pub elems: Vec<u32>,
-    /// Flattened gather list: batch row `b` reads nodes
-    /// `gather[b*nn .. (b+1)*nn]`.
-    pub gather: Vec<u32>,
-    /// Quadrature-point prefix weights over `elems` (for
-    /// [`balanced_ranges`]).
-    pub qp_prefix: Vec<u32>,
-}
 
 /// Per-element, per-quadrature-point subgrid velocity storage.
 #[derive(Debug)]
@@ -37,9 +21,6 @@ pub struct SgsField {
     pub offsets: Vec<u32>,
     /// Characteristic element length (cbrt of volume), cached.
     pub h: Vec<f64>,
-    /// Kind-batched sweep schedule, built lazily by
-    /// [`SgsField::ensure_batches`] (the `batched_sgs` layout path).
-    batches: Option<Vec<SgsKindBatch>>,
 }
 
 impl SgsField {
@@ -53,39 +34,7 @@ impl SgsField {
             offsets.push(total);
         }
         let h = (0..ne).map(|e| mesh.volume(e).abs().cbrt()).collect();
-        SgsField { values: vec![Vec3::ZERO; total as usize], offsets, h, batches: None }
-    }
-
-    /// Build (once) and return the kind-batched sweep schedule over
-    /// `elems`. Elements are grouped `Tet4 → Pyr5 → Pri6`, stable
-    /// within each kind; SGS elements are mutually independent, so the
-    /// regrouped sweep computes bit-identical per-element results.
-    pub fn ensure_batches(&mut self, mesh: &Mesh, elems: &[u32]) -> &[SgsKindBatch] {
-        if self.batches.is_none() {
-            let mut batches = Vec::new();
-            for kind in [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6] {
-                let members: Vec<u32> = elems
-                    .iter()
-                    .copied()
-                    .filter(|&e| mesh.kinds[e as usize] == kind)
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let nn = kind.num_nodes();
-                let qpw = kind.num_quad_points() as u32;
-                let mut gather = Vec::with_capacity(nn * members.len());
-                let mut qp_prefix = Vec::with_capacity(members.len() + 1);
-                qp_prefix.push(0u32);
-                for &e in &members {
-                    gather.extend_from_slice(mesh.elem_nodes(e as usize));
-                    qp_prefix.push(qp_prefix.last().unwrap() + qpw);
-                }
-                batches.push(SgsKindBatch { kind, elems: members, gather, qp_prefix });
-            }
-            self.batches = Some(batches);
-        }
-        self.batches.as_deref().unwrap()
+        SgsField { values: vec![Vec3::ZERO; total as usize], offsets, h }
     }
 
     /// Subgrid velocities of element `e`.
@@ -163,10 +112,7 @@ pub fn compute_sgs(
     tol: f64,
 ) -> SgsStats {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    if plan.batched_sgs {
-        return compute_sgs_batched(pool, refs, mesh, plan, velocity, props, field, max_iters, tol);
-    }
-    let SgsField { values, offsets, h, .. } = field;
+    let SgsField { values, offsets, h } = field;
     let (offsets, h) = (&*offsets, &*h);
     let view = SgsView::new(values);
     let total_iters = AtomicU64::new(0);
@@ -247,65 +193,6 @@ pub fn compute_sgs(
         max_iterations: max_seen.load(Ordering::Relaxed),
         colors,
         tasks,
-    }
-}
-
-/// The kind-batched SGS sweep (`LayoutPlan::batched_sgs`): elements
-/// grouped by kind through the cached gather schedule, chunked by
-/// quadrature-point count. No per-element `elem_nodes` walk, no kind
-/// dispatch in the hot loop. Each element's update is independent and
-/// reads only the shared velocity field, so the regrouped sweep is
-/// bit-identical to every other strategy *and* to itself under any pool
-/// size (pinned by `batched_sgs_bit_identical_across_pool_sizes`).
-#[allow(clippy::too_many_arguments)]
-fn compute_sgs_batched(
-    pool: &ThreadPool,
-    refs: &[RefElement; 3],
-    mesh: &Mesh,
-    plan: &AssemblyPlan,
-    velocity: &[Vec3],
-    props: FluidProps,
-    field: &mut SgsField,
-    max_iters: usize,
-    tol: f64,
-) -> SgsStats {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    field.ensure_batches(mesh, &plan.elems);
-    // Destructure to borrow the schedule and the value storage
-    // simultaneously.
-    let SgsField { values, offsets, h, batches } = field;
-    let batches = batches.as_deref().expect("ensure_batches just built these");
-    let view = SgsView::new(values);
-    let total_iters = AtomicU64::new(0);
-    let max_seen = AtomicUsize::new(0);
-    for kb in batches {
-        let nn = kb.kind.num_nodes();
-        let re = &refs[RefElement::index_of(kb.kind)];
-        let ranges = balanced_ranges(&kb.qp_prefix, pool.max_workers().max(1) * 8);
-        let (view, offsets, h) = (&view, &*offsets, &*h);
-        let (total_iters, max_seen) = (&total_iters, &max_seen);
-        parallel_for_ranges(pool, &ranges, |_c, range| {
-            let mut scratch = ElementScratch::default();
-            for b in range {
-                let e = kb.elems[b] as usize;
-                let nodes = &kb.gather[b * nn..(b + 1) * nn];
-                scratch.load_gather(&mesh.coords, velocity, nodes);
-                let lo = offsets[e] as usize;
-                let hi = offsets[e + 1] as usize;
-                // SAFETY: element ranges are disjoint; each element is
-                // processed by exactly one executor per sweep.
-                let slice = unsafe { view.range_mut(lo, hi) };
-                let iters = sgs_kernel_on(re, &scratch, nn, props, h[e], slice, max_iters, tol);
-                total_iters.fetch_add(iters as u64, Ordering::Relaxed);
-                max_seen.fetch_max(iters, Ordering::Relaxed);
-            }
-        });
-    }
-    SgsStats {
-        elements: plan.elems.len(),
-        total_iterations: total_iters.load(Ordering::Relaxed),
-        max_iterations: max_seen.load(Ordering::Relaxed),
-        ..SgsStats::default()
     }
 }
 
@@ -433,33 +320,5 @@ mod tests {
         assert!(field.mean_norm() > 0.0);
         assert!(stats.total_iterations as usize >= stats.elements);
         assert!(stats.max_iterations >= 1);
-    }
-
-    fn run_batched(workers: usize) -> (SgsField, SgsStats) {
-        let (mesh, refs, _, vel) = fixture();
-        let pool = ThreadPool::new(workers);
-        let mut plan = plan_for(&mesh, AssemblyStrategy::Atomics);
-        plan.batched_sgs = true;
-        let mut field = SgsField::new(&mesh);
-        let stats = sweep(&pool, &refs, &mesh, &plan, &vel, &mut field);
-        (field, stats)
-    }
-
-    #[test]
-    fn batched_sgs_bit_identical_to_serial() {
-        let (reference, ref_stats) = run_on(AssemblyStrategy::Serial, 4);
-        let (field, stats) = run_batched(4);
-        assert_eq!(stats.elements, ref_stats.elements);
-        assert_eq!(stats.total_iterations, ref_stats.total_iterations);
-        assert_bits_equal(&field, &reference, "batched vs serial");
-    }
-
-    #[test]
-    fn batched_sgs_bit_identical_across_pool_sizes() {
-        let (f1, s1) = run_batched(1);
-        let (f4, s4) = run_batched(4);
-        assert_eq!(s1.total_iterations, s4.total_iterations);
-        assert_eq!(s1.max_iterations, s4.max_iterations);
-        assert_bits_equal(&f1, &f4, "batched across pools");
     }
 }

@@ -306,8 +306,8 @@ fn differential_golden_matrix_pins_the_full_small_campaign() {
     // 2. The coupled cells against a hand-built scenario that never
     //    touches the DSL or the expander.
     for (layout, id) in [
-        (LayoutPlan::disabled(), "mode=coupled:1+1,layout=default,dlb=off"),
-        (LayoutPlan::optimized(), "mode=coupled:1+1,layout=opt,dlb=off"),
+        (LayoutPlan::Default, "mode=coupled:1+1,layout=default,dlb=off"),
+        (LayoutPlan::Opt, "mode=coupled:1+1,layout=opt,dlb=off"),
     ] {
         let mut cfg = golden_config();
         cfg.mode = ExecutionMode::Coupled { fluid: 1, particles: 1 };
@@ -409,9 +409,9 @@ dlb = off, on
 fn explicit_layout_beats_cfpd_layout_env() {
     // In-process: the helper itself, and the DSL key going through it.
     std::env::set_var("CFPD_LAYOUT", "opt");
-    assert_eq!(resolve_layout(Some("default")).unwrap(), LayoutPlan::disabled());
-    assert_eq!(resolve_layout(Some("opt")).unwrap(), LayoutPlan::optimized());
-    assert_eq!(resolve_layout(None).unwrap(), LayoutPlan::optimized());
+    assert_eq!(resolve_layout(Some("default")).unwrap(), LayoutPlan::Default);
+    assert_eq!(resolve_layout(Some("opt")).unwrap(), LayoutPlan::Opt);
+    assert_eq!(resolve_layout(None).unwrap(), LayoutPlan::Opt);
 
     let spec = CampaignSpec::from_text(
         "[campaign]\nname = env\n\n[scenario]\nlayout = default\n",
@@ -420,11 +420,11 @@ fn explicit_layout_beats_cfpd_layout_env() {
     let cells = expand(&spec).unwrap();
     assert_eq!(
         cells[0].scenario.config.layout,
-        LayoutPlan::disabled(),
+        LayoutPlan::Default,
         "DSL layout key must beat CFPD_LAYOUT"
     );
     std::env::remove_var("CFPD_LAYOUT");
-    assert_eq!(resolve_layout(None).unwrap(), LayoutPlan::disabled());
+    assert_eq!(resolve_layout(None).unwrap(), LayoutPlan::Default);
 
     // End to end: `cfpd golden --layout default` under CFPD_LAYOUT=opt
     // must produce the *default* golden document.
@@ -439,6 +439,23 @@ fn explicit_layout_beats_cfpd_layout_env() {
         out.stdout, expected,
         "--layout default must beat CFPD_LAYOUT=opt end to end"
     );
+}
+
+/// A layout value other than `default` or `opt` — the removed
+/// `opt-matfree` included — exits 2 from every subcommand that takes
+/// `--layout`, and the message names the accepted values.
+#[test]
+fn unknown_layout_values_exit_2() {
+    for args in [["golden", "--layout", "opt-matfree"], ["report", "--layout", "bogus"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cfpd"))
+            .args(args)
+            .output()
+            .expect("spawn cfpd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "cfpd {args:?}: {stderr}");
+        assert!(stderr.contains(args[2]) && stderr.contains("expected: default, opt"), "{stderr}");
+        assert!(out.stdout.is_empty(), "cfpd {args:?} ran before rejecting the layout");
+    }
 }
 
 // ---------------------------------------------------------------------

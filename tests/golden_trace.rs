@@ -68,7 +68,7 @@ fn goldens_are_byte_identical_with_flight_recorder_on() {
     let actual = golden_trace(&golden_config(), GOLDEN_RANKS);
     assert_matches_golden(&actual, &golden_path());
     let mut cfg = golden_config();
-    cfg.layout = LayoutPlan::optimized();
+    cfg.layout = LayoutPlan::Opt;
     let actual = golden_trace(&cfg, GOLDEN_RANKS);
     assert_matches_golden(&actual, &opt_golden_path());
     assert!(
@@ -84,7 +84,7 @@ fn goldens_are_byte_identical_with_flight_recorder_on() {
 #[test]
 fn opt_layout_trace_matches_its_own_golden() {
     let mut cfg = golden_config();
-    cfg.layout = LayoutPlan::optimized();
+    cfg.layout = LayoutPlan::Opt;
     let actual = golden_trace(&cfg, GOLDEN_RANKS);
     assert!(
         actual.lines().nth(2).unwrap_or("").ends_with("layout=opt"),

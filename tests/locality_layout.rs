@@ -1,4 +1,4 @@
-//! Locality-layout acceptance tests: the opt-in hot path (RCM node
+//! Locality-layout acceptance tests: the `opt` layout's hot path (RCM node
 //! reordering, kind-batched SoA assembly, fused deterministic CG) must
 //! be provably profitable and numerically pinned.
 //!

@@ -93,7 +93,7 @@ fn strategies_assemble_identical_matrices() {
     );
 }
 
-/// The kind-batched SoA assembly (opt-in `LayoutPlan` path) agrees with
+/// The kind-batched SoA assembly (the `opt` layout's path) agrees with
 /// the serial unbatched reference under all four strategies on random
 /// meshes — batching regroups the element summation order (by kind /
 /// per unit) but must not change the assembled system beyond FP
