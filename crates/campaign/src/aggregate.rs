@@ -19,6 +19,7 @@ use crate::matrix::Cell;
 use crate::scenario::Budget;
 use cfpd_core::{LogicalEvent, ScenarioOutcome};
 use cfpd_telemetry::JsonWriter;
+use cfpd_trace::PhaseTimes;
 use cfpd_testkit::{parse_json, JsonValue};
 use std::fmt::Write as _;
 
@@ -48,12 +49,28 @@ pub struct CellMetrics {
 
 /// Wall-clock metrics of one cell — the POP-style rollup of the run's
 /// own phase trace. Excluded from the canonical report by design.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WallMetrics {
     pub total_time: f64,
     pub parallel_efficiency: f64,
     pub load_balance: f64,
     pub comm_efficiency: f64,
+    /// The phase times the efficiencies were computed from.
+    pub phases: PhaseTimes,
+}
+
+impl WallMetrics {
+    /// The rollup of a run that took `total_time` seconds.
+    pub fn new(total_time: f64, phases: PhaseTimes) -> WallMetrics {
+        let pop = phases.pop();
+        WallMetrics {
+            total_time,
+            parallel_efficiency: pop.parallel_efficiency,
+            load_balance: pop.load_balance,
+            comm_efficiency: pop.comm_efficiency,
+            phases,
+        }
+    }
 }
 
 /// Extract [`CellMetrics`] from a finished run.
@@ -90,23 +107,6 @@ pub fn cell_metrics(cell: &Cell, out: &ScenarioOutcome) -> CellMetrics {
     let deposited_frac =
         if total == 0 { 0.0 } else { c.deposited as f64 / total as f64 };
 
-    // Wall-clock POP rollup of this run's own phase trace (the same
-    // computation `cfpd report` cross-checks against cfpd-trace).
-    let ts = cfpd_trace::trace_stats(&r.trace);
-    let n = r.trace.num_ranks.max(1);
-    let mut useful = vec![0.0f64; n];
-    for e in &r.trace.events {
-        if e.phase != cfpd_trace::Phase::MpiComm {
-            useful[e.rank] += e.duration();
-        }
-    }
-    let max_useful = useful.iter().cloned().fold(0.0f64, f64::max);
-    let comm_e = if ts.wall_time > 0.0 && max_useful > 0.0 {
-        max_useful / ts.wall_time
-    } else {
-        1.0
-    };
-
     CellMetrics {
         id: cell.id.clone(),
         axes: cell.axes.clone(),
@@ -117,12 +117,7 @@ pub fn cell_metrics(cell: &Cell, out: &ScenarioOutcome) -> CellMetrics {
         census: [c.active as u64, c.deposited as u64, c.escaped as u64, c.lost as u64],
         deposited_frac_bits: deposited_frac.to_bits(),
         lb_assembly_bits: lb_assembly.to_bits(),
-        wall: WallMetrics {
-            total_time: r.total_time,
-            parallel_efficiency: ts.parallel_efficiency,
-            load_balance: cfpd_trace::load_balance(&useful),
-            comm_efficiency: comm_e,
-        },
+        wall: WallMetrics::new(r.total_time, PhaseTimes::of(&r.trace)),
     }
 }
 

@@ -5,7 +5,7 @@
 
 use crate::checkpoint::{Checkpoint, RankCheckpoint};
 use crate::config::{ExecutionMode, SimulationConfig};
-use crate::fluid::FluidSolver;
+use crate::fluid::{FluidSolver, FluidStepReport};
 use cfpd_dlb::{DlbCluster, DlbPolicy, DlbStats, GrantPolicy, LendPolicy};
 use cfpd_hetero::{ImbalancePredictor, PredictorConfig};
 use cfpd_mesh::{generate_airway, Vec3};
@@ -550,32 +550,35 @@ fn rank_main(
     }
 }
 
-/// Telemetry mirror of a wall-clock phase attribution: feed the *same*
-/// `(rank, phase, t_start, t_end)` f64 values to the online POP table
-/// that `Trace::record` logs, so the rollup and the post-hoc
-/// `cfpd_trace` analysis agree to floating-point reassociation error
-/// (well under the 1e-9 the regression test pins).
-#[inline]
-fn pop_record(rank: usize, phase: Phase, t_start: f64, t_end: f64) {
-    use cfpd_telemetry::pop::{self, PopPhase};
-    let p = match phase {
-        Phase::MpiComm => PopPhase::Mpi,
-        Phase::Assembly => PopPhase::Assembly,
-        Phase::Solver1 => PopPhase::Solver1,
-        Phase::Solver2 => PopPhase::Solver2,
-        Phase::Sgs => PopPhase::Sgs,
-        Phase::Particles => PopPhase::Particles,
-    };
-    pop::phase(rank, p, t_start, t_end);
-    // Flight-recorder mirror of the same attribution (timing-only: the
-    // recorder never feeds back into simulation state).
+/// Attribute `[t_start, t_end]` (run-epoch seconds) on `rank` to
+/// `phase`: the one call per phase interval. The run's trace is the
+/// record every analysis (POP rollup, lost cycles, exporters) reads;
+/// the flight ring gets a timing-only mirror for the black box.
+fn record_phase(trace: &mut Trace, rank: usize, phase: Phase, t_start: f64, t_end: f64) {
+    trace.record(rank, phase, t_start, t_end);
     cfpd_flight::record(
         cfpd_flight::EventKind::Phase,
         rank as u32,
-        p.index() as u32,
+        phase.index() as u32,
         t_start.to_bits(),
         t_end.to_bits(),
     );
+}
+
+/// Attribute a fluid step's four measured sub-phases back to back from
+/// `t0`; returns the end of the last one.
+fn record_fluid_step(trace: &mut Trace, rank: usize, t0: f64, report: &FluidStepReport) -> f64 {
+    let mut cursor = t0;
+    for (phase, dur) in [
+        (Phase::Assembly, report.t_assembly),
+        (Phase::Solver1, report.t_solver1),
+        (Phase::Solver2, report.t_solver2),
+        (Phase::Sgs, report.t_sgs),
+    ] {
+        record_phase(trace, rank, phase, cursor, cursor + dur);
+        cursor += dur;
+    }
+    cursor
 }
 
 /// Partition all mesh elements into `n` cost-weighted parts; returns
@@ -709,17 +712,7 @@ fn sync_rank(
             comm.allreduce_slice_f64(buf, ReduceOp::Sum);
         });
         // Attribute the sub-phase times measured inside the step.
-        let mut cursor = t0;
-        for (phase, dur) in [
-            (Phase::Assembly, report.t_assembly),
-            (Phase::Solver1, report.t_solver1),
-            (Phase::Solver2, report.t_solver2),
-            (Phase::Sgs, report.t_sgs),
-        ] {
-            trace.record(rank, phase, cursor, cursor + dur);
-            pop_record(rank, phase, cursor, cursor + dur);
-            cursor += dur;
-        }
+        let fluid_end = record_fluid_step(&mut trace, rank, t0, &report);
         cfpd_telemetry::count!("core.rank_steps");
         cfpd_flight::record(cfpd_flight::EventKind::Step, rank as u32, 0, step as u64, 0);
         log_fluid_step(&mut logical, step, rank, &report, &fs.velocity, &fs.pressure);
@@ -739,8 +732,7 @@ fn sync_rank(
         let outgoing = collect_migrants(&mut mine, &owner, rank);
         let (sent, received) = exchange_migrants(&comm, outgoing, &mut mine, None);
         let tp_end = t(epoch);
-        trace.record(rank, Phase::Particles, tp, tp_end);
-        pop_record(rank, Phase::Particles, tp, tp_end);
+        record_phase(&mut trace, rank, Phase::Particles, tp, tp_end);
         logical.push(LogicalEvent::Exchange { step, rank, sent, received });
         let c = mine.census();
         logical.push(LogicalEvent::Particles {
@@ -772,7 +764,7 @@ fn sync_rank(
                 let waited = t(epoch) - tb;
                 // Observe: this step's useful seconds. Injected hetero
                 // stalls stand in for slower compute, so they count.
-                let mut useful = (cursor - t0) + (tp_end - tp);
+                let mut useful = (fluid_end - t0) + (tp_end - tp);
                 if let Some(ph) = &window.profiled {
                     let inj = ph.injected_micros(rank);
                     useful += (inj - injected_seen) as f64 * 1e-6;
@@ -834,17 +826,7 @@ fn coupled_rank(
             let report = fs.step_reduced(pool, &mut |buf: &mut [f64]| {
                 group.allreduce_slice_f64(buf, ReduceOp::Sum);
             });
-            let mut cursor = t0;
-            for (phase, dur) in [
-                (Phase::Assembly, report.t_assembly),
-                (Phase::Solver1, report.t_solver1),
-                (Phase::Solver2, report.t_solver2),
-                (Phase::Sgs, report.t_sgs),
-            ] {
-                trace.record(world_rank, phase, cursor, cursor + dur);
-                pop_record(world_rank, phase, cursor, cursor + dur);
-                cursor += dur;
-            }
+            record_fluid_step(&mut trace, world_rank, t0, &report);
             cfpd_telemetry::count!("core.rank_steps");
             cfpd_flight::record(cfpd_flight::EventKind::Step, world_rank as u32, 0, step as u64, 0);
             log_fluid_step(&mut logical, step, world_rank, &report, &fs.velocity, &fs.pressure);
@@ -857,8 +839,7 @@ fn coupled_rank(
                 }
             }
             let tc_end = t(epoch);
-            trace.record(world_rank, Phase::MpiComm, tc, tc_end);
-            pop_record(world_rank, Phase::MpiComm, tc, tc_end);
+            record_phase(&mut trace, world_rank, Phase::MpiComm, tc, tc_end);
         }
         census = ParticleCensus::default();
     } else {
@@ -898,8 +879,7 @@ fn coupled_rank(
             let tw = t(epoch);
             let velocity: Vec<Vec3> = comm.recv(0, TAG_VELOCITY);
             let tw_end = t(epoch);
-            trace.record(world_rank, Phase::MpiComm, tw, tw_end);
-            pop_record(world_rank, Phase::MpiComm, tw, tw_end);
+            record_phase(&mut trace, world_rank, Phase::MpiComm, tw, tw_end);
             let tp = t(epoch);
             step_particles(
                 &mut mine,
@@ -913,8 +893,7 @@ fn coupled_rank(
             let outgoing = collect_migrants(&mut mine, &owner, group.rank());
             let (sent, received) = exchange_migrants(&group, outgoing, &mut mine, Some(f));
             let tp_end = t(epoch);
-            trace.record(world_rank, Phase::Particles, tp, tp_end);
-            pop_record(world_rank, Phase::Particles, tp, tp_end);
+            record_phase(&mut trace, world_rank, Phase::Particles, tp, tp_end);
             cfpd_telemetry::count!("core.rank_steps");
             cfpd_flight::record(cfpd_flight::EventKind::Step, world_rank as u32, 0, step as u64, 0);
             logical.push(LogicalEvent::Exchange { step, rank: world_rank, sent, received });
@@ -1113,6 +1092,17 @@ mod tests {
         assert!(c.active + c.deposited + c.escaped + c.lost > 0);
         assert_eq!(c.lost, 0);
         assert!(!r.breakdown.is_empty());
+    }
+
+    #[test]
+    fn flight_phase_codes_name_the_trace_phases() {
+        // `record_phase` stores `Phase::index()` as the flight code;
+        // the flight recorder names it through `PHASE_NAMES`.
+        assert_eq!(cfpd_flight::PHASE_NAMES.len(), Phase::ALL.len());
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(phase.index(), i);
+            assert_eq!(cfpd_flight::PHASE_NAMES[i], phase.key());
+        }
     }
 
     #[test]

@@ -135,8 +135,9 @@ impl EventKind {
     }
 }
 
-/// POP phase names in `code` order for [`EventKind::Phase`] events —
-/// must match `cfpd_telemetry::PopPhase::ALL` order.
+/// Phase names in `code` order for [`EventKind::Phase`] events: entry
+/// `i` is `cfpd_trace::Phase::ALL[i].key()` (pinned by a `cfpd-core`
+/// test; this crate stays dependency-free).
 pub const PHASE_NAMES: [&str; 6] =
     ["mpi", "assembly", "solver1", "solver2", "sgs", "particles"];
 

@@ -35,6 +35,7 @@ use cfpd_campaign::{
 };
 use cfpd_core::Checkpoint;
 use cfpd_telemetry::JsonWriter;
+use cfpd_trace::PhaseTimes;
 use cfpd_testkit::{digest_bytes, SplitMix64};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -313,12 +314,7 @@ fn metrics_from_rec(cell: &Cell, rec: &CellDoneRec) -> CellMetrics {
         census: rec.census,
         deposited_frac_bits: rec.deposited_frac_bits,
         lb_assembly_bits: rec.lb_assembly_bits,
-        wall: WallMetrics {
-            total_time: 0.0,
-            parallel_efficiency: 0.0,
-            load_balance: 0.0,
-            comm_efficiency: 0.0,
-        },
+        wall: WallMetrics::default(),
     }
 }
 
@@ -482,6 +478,10 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
         };
 
         let cell_t0 = Instant::now();
+        // Steps this process runs for the cell (a resumed cell skips
+        // the ones before its snapshot).
+        let resumed_at = resume.as_ref().map_or(0, |r| r.next_step);
+        let steps = cell.scenario.config.steps.saturating_sub(resumed_at);
         let fault = sh.cfg.fault.decide(id, cell.index as u64, attempt);
         let outcome = if checkpointable(&cell.scenario) {
             match drive_segments(sh, id, &cell, attempt, resume, fault) {
@@ -489,12 +489,11 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
                 SegmentsOutcome::Stopped(cause) => return cause,
             }
         } else {
-            run_atomic_cell(sh, &cell, fault)
+            run_atomic_cell(sh, id, &cell, fault)
         };
 
         match outcome {
-            Ok(metrics) => {
-                let steps = cell.scenario.config.steps as u64;
+            Ok((metrics, phases)) => {
                 let wall_s = cell_t0.elapsed().as_secs_f64();
                 let mut store = sh.store.lock().unwrap();
                 let cur = store.jobs[&id].cur_cell;
@@ -512,7 +511,7 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
                 let _ = std::fs::remove_file(wal::snap_path(&sh.cfg.data_dir, id, cur));
                 sh.feed.post("cell_done", id, format!("cell {} of {total}", cur + 1));
                 drop(store);
-                observe_completion(sh, id, steps, wall_s);
+                observe_completion(sh, id, steps as u64, wall_s, &phases);
             }
             Err(reason) => {
                 if let Some(cause) = handle_attempt_failure(sh, id, reason) {
@@ -544,8 +543,8 @@ fn park(sh: &Shared, store: &mut Store, id: u64) -> StopCause {
 
 /// Feed a completed cell's timing to the regression watchdog and turn
 /// any drift it reports into feed warnings.
-fn observe_completion(sh: &Shared, id: u64, steps: u64, wall_s: f64) {
-    let warnings = sh.watchdog.lock().unwrap().observe_cell(steps, wall_s);
+fn observe_completion(sh: &Shared, id: u64, steps: u64, wall_s: f64, phases: &PhaseTimes) {
+    let warnings = sh.watchdog.lock().unwrap().observe_cell(steps, wall_s, &phases.per_phase());
     for w in warnings {
         cfpd_telemetry::count!("serve.drift_warnings");
         sh.feed.post(
@@ -562,21 +561,29 @@ fn observe_completion(sh: &Shared, id: u64, steps: u64, wall_s: f64) {
 /// Dump the flight-recorder ring next to the job's WAL as the
 /// post-mortem black box. Honours the simulated-crash discipline: a
 /// frozen gate means "the process is already dead", so nothing may be
-/// written. Overwrites any earlier dump — last death wins.
+/// written. Overwrites any earlier dump — last death wins. Written to
+/// a temporary file and renamed, so a reader never sees a partial dump.
 fn dump_flight(sh: &Shared, id: u64, cause: &str) {
     if sh.gate.frozen() || !cfpd_flight::enabled() {
         return;
     }
     let path = wal::flight_path(&sh.cfg.data_dir, id);
-    if std::fs::write(&path, cfpd_flight::dump_text()).is_ok() {
+    let tmp = path.with_extension("flight.tmp");
+    let written = std::fs::write(&tmp, cfpd_flight::dump_text())
+        .and_then(|_| std::fs::rename(&tmp, &path));
+    if written.is_ok() {
         cfpd_telemetry::count!("serve.flight_dumps");
         sh.feed.post("flight_dump", id, format!("{cause}; dump at {}", path.display()));
     }
 }
 
+/// A finished cell's metrics and the phase times of the runs this
+/// process made for it, or why the attempt failed.
+type CellOutcome = Result<(CellMetrics, PhaseTimes), String>;
+
 enum SegmentsOutcome {
     /// The cell concluded (successfully or with a failed attempt).
-    Cell(Result<CellMetrics, String>),
+    Cell(CellOutcome),
     /// The job parked or the daemon died mid-cell.
     Stopped(StopCause),
 }
@@ -599,6 +606,7 @@ fn drive_segments(
         None => (CellAcc::default(), String::new(), None, 0),
     };
     let mut fault = fault; // consumed by the first segment of the attempt
+    let mut cell_phases = PhaseTimes::default();
 
     loop {
         match std::mem::replace(&mut fault, CellFault::None) {
@@ -639,14 +647,12 @@ fn drive_segments(
 
         acc.absorb(&seg.logical);
         events_text.push_str(&seg.events_text);
+        cell_phases.append(&seg.phases);
+        sh.store.lock().unwrap().jobs.get_mut(&id).unwrap().phases.append(&seg.phases);
 
         if seg.done {
-            return SegmentsOutcome::Cell(Ok(finish_cell_metrics(
-                cell,
-                &acc,
-                &events_text,
-                &seg.census,
-            )));
+            let metrics = finish_cell_metrics(cell, &acc, &events_text, &seg.census);
+            return SegmentsOutcome::Cell(Ok((metrics, cell_phases)));
         }
 
         // Segment boundary: pin the progress, then honour control flags.
@@ -701,12 +707,9 @@ fn drive_segments(
 
 /// Run a non-checkpointable cell in one shot through the campaign
 /// pool's own bounded runner (same timeout semantics, same failure
-/// text) — supervised and retried, but not preemptible mid-cell.
-fn run_atomic_cell(
-    sh: &Shared,
-    cell: &Cell,
-    fault: CellFault,
-) -> Result<CellMetrics, String> {
+/// text) — supervised and retried, but not preemptible mid-cell. Its
+/// phase times join the job's sums when it completes.
+fn run_atomic_cell(sh: &Shared, id: u64, cell: &Cell, fault: CellFault) -> CellOutcome {
     match fault {
         CellFault::Crash => return Err("injected: seeded worker crash".to_string()),
         CellFault::Stall => std::thread::sleep(Duration::from_millis(sh.cfg.stall_ms())),
@@ -719,7 +722,11 @@ fn run_atomic_cell(
         sh.cfg.cell_timeout,
     );
     match report.cells.into_iter().next().expect("one cell in, one result out") {
-        Ok(m) => Ok(m),
+        Ok(m) => {
+            let phases = m.wall.phases.clone();
+            sh.store.lock().unwrap().jobs.get_mut(&id).unwrap().phases.append(&phases);
+            Ok((m, phases))
+        }
         Err(f) => Err(f.message),
     }
 }
@@ -830,6 +837,8 @@ fn route(sh: &Shared, req: &http::Request) -> http::Response {
     let segs: Vec<&str> = path.trim_matches('/').split('/').collect();
     match (req.method.as_str(), segs.as_slice()) {
         ("GET", ["healthz"]) => http::Response::text(200, "ok\n"),
+        // Daemon-wide series only: a POP rollup across concurrent jobs
+        // means nothing, so each job's lives on its `/progress`.
         ("GET", ["metrics"]) => http::Response {
             status: 200,
             headers: Vec::new(),
@@ -867,10 +876,10 @@ fn events(sh: &Shared, query: &str) -> http::Response {
     http::Response::json(200, EventFeed::render_json(&evs, last, first))
 }
 
-/// `GET /jobs/:id/progress`: in-flight counters, live POP efficiencies
-/// (same formatter as the post-run report, so the numbers agree to the
-/// last ULP), and an ETA from observed step rates — seeded by the
-/// perfmodel demand curve until the first cell completes.
+/// `GET /jobs/:id/progress`: in-flight counters, the job's own POP
+/// efficiencies over every segment (or atomic cell) finished so far,
+/// and an ETA from observed step rates — seeded by the perfmodel demand
+/// curve until the first cell completes.
 fn progress(sh: &Shared, id: &str) -> http::Response {
     let Ok(id) = id.parse::<u64>() else {
         return http::Response::error(400, "job id is not a number");
@@ -913,24 +922,20 @@ fn progress(sh: &Shared, id: &str) -> http::Response {
     w.key("steps_done").u64(steps_done);
     w.key("elapsed_s").f64(elapsed_s);
     w.key("eta_s").f64(eta_s);
-    w.key("pop");
-    match cfpd_telemetry::pop::report() {
-        None => {
-            w.begin_object().end_object();
+    w.key("pop").begin_object();
+    if !job.phases.is_empty() {
+        let pop = job.phases.pop();
+        w.key("ranks").u64(pop.ranks as u64);
+        w.key("parallel_efficiency").f64(pop.parallel_efficiency);
+        w.key("load_balance").f64(pop.load_balance);
+        w.key("comm_efficiency").f64(pop.comm_efficiency);
+        w.key("per_phase_s").begin_object();
+        for (name, secs) in &pop.per_phase {
+            w.key(name).f64(*secs);
         }
-        Some(pop) => {
-            w.begin_object();
-            w.key("parallel_efficiency").f64(pop.parallel_efficiency);
-            w.key("load_balance").f64(pop.load_balance);
-            w.key("comm_efficiency").f64(pop.comm_efficiency);
-            w.key("per_phase_s").begin_object();
-            for (name, secs) in &pop.per_phase {
-                w.key(name).f64(*secs);
-            }
-            w.end_object();
-            w.end_object();
-        }
+        w.end_object();
     }
+    w.end_object();
     w.end_object();
     http::Response::json(200, w.finish())
 }
@@ -1176,6 +1181,40 @@ steps = 2
         let (code, _) = http_call(&addr, "POST", "/drain", "").unwrap();
         assert_eq!(code, 200);
         daemon.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each job's `/progress` POP is its own: a 6-step job cut into six
+    /// one-step segments keeps PE ≤ 1, and two jobs served at the same
+    /// time report their own rank counts.
+    #[test]
+    fn progress_reports_each_jobs_own_pop() {
+        let dir = tmp_dir("pop");
+        let cfg = ServeConfig { data_dir: dir.clone(), ckpt_interval: 1, ..Default::default() };
+        let daemon = Daemon::start(cfg).unwrap();
+        let addr = daemon.addr().to_string();
+        let jobs = [(1u64, 2u64), (2, 1)];
+        for (_, ranks) in jobs {
+            let text = TINY
+                .replace("ranks = 2", &format!("ranks = {ranks}"))
+                .replace("steps = 2", "steps = 6");
+            let (code, body) = http_call(&addr, "POST", "/jobs", &text).unwrap();
+            assert_eq!(code, 201, "{body}");
+        }
+        for (job, ranks) in jobs {
+            poll_done(&addr, job);
+            let (code, body) =
+                http_call(&addr, "GET", &format!("/jobs/{job}/progress"), "").unwrap();
+            assert_eq!(code, 200, "{body}");
+            let doc = cfpd_testkit::parse_json(&body).unwrap();
+            let pop = doc.get("pop").expect("pop object");
+            assert_eq!(pop.get("ranks").and_then(|v| v.as_u64()), Some(ranks), "{body}");
+            for key in ["parallel_efficiency", "load_balance", "comm_efficiency"] {
+                let v = pop.get(key).and_then(|v| v.as_f64()).expect(key);
+                assert!(v > 0.0 && v <= 1.0, "job {job} pop.{key} = {v}: {body}");
+            }
+        }
+        daemon.kill();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -317,7 +317,6 @@ cfpd_phase{phase=\"mpi\",rank=\"0\"} 0.25
                 comm_efficiency: 1.0,
                 per_rank_useful: vec![1.0],
                 per_phase: vec![("we\"ird\\ph\nase", 1.0), ("com,ma", 2.0)],
-                dropped: 0,
             }),
         };
         let doc = snap.render_prometheus();

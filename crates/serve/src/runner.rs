@@ -18,6 +18,7 @@ use cfpd_core::{
 };
 use cfpd_particles::ParticleCensus;
 use cfpd_testkit::digest_bytes;
+use cfpd_trace::PhaseTimes;
 use std::sync::Arc;
 
 /// Outcome of one segment run.
@@ -31,6 +32,8 @@ pub struct SegmentOut {
     /// The parked physics state (`None` when the cell finished).
     pub checkpoint: Option<Checkpoint>,
     pub done: bool,
+    /// This segment's per-rank phase times, from its own trace.
+    pub phases: PhaseTimes,
 }
 
 /// Can this scenario run as a resumable segment chain? Mirrors the
@@ -56,6 +59,7 @@ pub fn run_segment(
     let opts = RunOptions { restore, stop_after, ..s.opts.clone() };
     let result = run_simulation_opts(&s.config, s.ranks, s.threads, &opts);
     SegmentOut {
+        phases: PhaseTimes::of(&result.trace),
         events_text: render_golden_events(&result.logical),
         logical: result.logical,
         census: result.census,
@@ -94,12 +98,7 @@ pub fn finish_cell_metrics(
         census: [c.active as u64, c.deposited as u64, c.escaped as u64, c.lost as u64],
         deposited_frac_bits: deposited_frac.to_bits(),
         lb_assembly_bits: acc.lb_assembly().to_bits(),
-        wall: WallMetrics {
-            total_time: 0.0,
-            parallel_efficiency: 0.0,
-            load_balance: 0.0,
-            comm_efficiency: 0.0,
-        },
+        wall: WallMetrics::default(),
     }
 }
 

@@ -10,6 +10,7 @@ use crate::snap::CellAcc;
 use cfpd_campaign::{CampaignReport, CampaignSpec, Cell, CellFailure, CellMetrics};
 use cfpd_core::Checkpoint;
 use cfpd_dlb::JobArbiter;
+use cfpd_trace::PhaseTimes;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,6 +92,11 @@ pub struct Job {
     /// Completion order stamp (the preemption test asserts a short job
     /// admitted *after* a long one finishes *before* it).
     pub finish_seq: Option<u64>,
+    /// Phase times of every segment and atomic cell this daemon
+    /// incarnation ran for the job, laid end to end (`/progress` POP).
+    /// In memory only: after a restart a resumed job counts only the
+    /// runs since.
+    pub phases: PhaseTimes,
 }
 
 impl Job {
@@ -112,6 +118,7 @@ impl Job {
             cancel_requested: false,
             admitted: Instant::now(),
             finish_seq: None,
+            phases: PhaseTimes::default(),
         }
     }
 

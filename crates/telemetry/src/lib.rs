@@ -13,10 +13,12 @@
 //!   cacheline-padded atomics (relaxed increments, snapshot-on-read
 //!   merge in fixed shard order, so a read is bit-deterministic for a
 //!   given set of recorded values);
-//! * RAII [`Span`] timers and a per-(rank, phase) time table
-//!   ([`pop`]) feeding an **online POP-style rollup**: parallel
-//!   efficiency = load balance × communication efficiency, computed
-//!   from accumulated useful/MPI time — no event log;
+//! * RAII [`Span`] timers;
+//! * the **POP-style rollup** type ([`pop`]): parallel efficiency =
+//!   load balance × communication efficiency, computed in one place
+//!   from per-rank phase seconds. The seconds come from a run's own
+//!   phase trace (`cfpd_trace::pop_report`), so the rollup belongs to
+//!   that run and no process-global table exists;
 //! * a [`TelemetrySnapshot`] with stable-ordered text-table and JSON
 //!   renderers (the JSON writer in [`json`] is dependency-free and
 //!   reused by `cfpd chaos --json`).
@@ -50,7 +52,7 @@ pub mod span;
 
 pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram};
-pub use pop::{PopPhase, PopReport};
+pub use pop::PopReport;
 pub use registry::{counter, gauge, histogram, reset, snapshot};
 pub use render::TelemetrySnapshot;
 pub use span::Span;

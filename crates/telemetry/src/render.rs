@@ -1,8 +1,8 @@
 //! Read-side snapshot and its renderers.
 //!
 //! Both renderers are deterministic: metrics come from the registry in
-//! name order, histogram buckets in value order, POP phases in
-//! [`crate::PopPhase::ALL`] order. Two snapshots of identical recorded
+//! name order, histogram buckets in value order, POP phases in the
+//! order the rollup was given them. Two snapshots of identical recorded
 //! values render byte-identical documents.
 
 use crate::json::JsonWriter;
@@ -19,7 +19,8 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(String, i64)>,
     /// `(name, merged view)` in name order.
     pub histograms: Vec<(String, HistSnapshot)>,
-    /// `None` when no phase time was attributed.
+    /// The rollup of the run this snapshot describes; `None` from
+    /// [`crate::snapshot`], which has no run.
     pub pop: Option<PopReport>,
 }
 
@@ -47,9 +48,6 @@ impl TelemetrySnapshot {
             let _ = writeln!(out, "  comm_efficiency     {:>12.6}", pop.comm_efficiency);
             for (name, secs) in &pop.per_phase {
                 let _ = writeln!(out, "  phase.{:<13} {:>12.6}", name, secs);
-            }
-            if pop.dropped > 0 {
-                let _ = writeln!(out, "  dropped_spans       {:>12}", pop.dropped);
             }
         }
         let live_counters: Vec<_> =
@@ -114,7 +112,6 @@ impl TelemetrySnapshot {
                     w.key(name).f64(*secs);
                 }
                 w.end_object();
-                w.key("dropped_spans").u64(pop.dropped);
                 w.end_object();
             }
         }
@@ -271,7 +268,6 @@ mod tests {
                 comm_efficiency: 2.0 / 3.0,
                 per_rank_useful: vec![2.0, 1.0],
                 per_phase: vec![("mpi", 3.0), ("assembly", 2.0)],
-                dropped: 0,
             }),
         }
     }

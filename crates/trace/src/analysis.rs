@@ -20,6 +20,7 @@
 //! chain is always available) and ≤ wall time.
 
 use crate::event::{worker_view, Phase, Trace, WorkerEvent, WorkerState};
+use crate::stats::PhaseTimes;
 
 /// One hop of the critical path (a maximal run of same-rank credit).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,8 +189,7 @@ pub struct LostCyclesRow {
 /// POP-style lost-cycles decomposition of a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LostCycles {
-    /// Wall time (end of last phase interval — the same clock the
-    /// online POP rollup uses).
+    /// Wall time (end of last phase interval, as in [`crate::pop_report`]).
     pub wall: f64,
     /// Per-(rank, phase) rows, rank-major, only phases that occur.
     pub rows: Vec<LostCyclesRow>,
@@ -210,23 +210,14 @@ pub struct LostCycles {
 }
 
 /// Compute the lost-cycles decomposition. The headline efficiencies are
-/// derived from the phase intervals alone — the same `f64`s the online
-/// POP rollup was fed — so they agree with `cfpd_telemetry::pop` to
-/// floating-point reassociation error (pinned ≤ 1e-9 by the tests).
+/// the run's [`crate::pop_report`], derived from the phase intervals alone.
 pub fn lost_cycles(trace: &Trace) -> LostCycles {
-    let n = trace.num_ranks.max(1);
-    let wall = trace.events.iter().map(|e| e.t_end).fold(0.0, f64::max);
-
-    let mut useful = vec![0.0f64; n];
-    let mut phase_time = vec![[0.0f64; Phase::ALL.len()]; n];
+    let times = PhaseTimes::of(trace);
+    let pop = times.pop();
+    let n = times.per_rank.len();
     let mut phase_seen = [false; Phase::ALL.len()];
     for e in &trace.events {
-        let p = Phase::ALL.iter().position(|x| *x == e.phase).unwrap();
-        phase_time[e.rank][p] += e.duration();
-        phase_seen[p] = true;
-        if e.phase != Phase::MpiComm {
-            useful[e.rank] += e.duration();
-        }
+        phase_seen[e.phase.index()] = true;
     }
 
     let mut mpi_wait = vec![0.0f64; n];
@@ -237,41 +228,28 @@ pub fn lost_cycles(trace: &Trace) -> LostCycles {
     }
 
     let mut rows = Vec::new();
-    for (p, &phase) in Phase::ALL.iter().enumerate() {
-        if !phase_seen[p] {
-            continue;
-        }
-        let max_t = (0..n).map(|r| phase_time[r][p]).fold(0.0f64, f64::max);
-        for (rank, pt) in phase_time.iter().enumerate() {
-            rows.push(LostCyclesRow {
-                rank,
-                phase,
-                time: pt[p],
-                imbalance: max_t - pt[p],
-            });
+    for (rank, pt) in times.per_rank.iter().enumerate() {
+        for (p, &phase) in Phase::ALL.iter().enumerate() {
+            if !phase_seen[p] {
+                continue;
+            }
+            let max_t = times.per_rank.iter().map(|r| r[p]).fold(0.0f64, f64::max);
+            rows.push(LostCyclesRow { rank, phase, time: pt[p], imbalance: max_t - pt[p] });
         }
     }
-    rows.sort_by(|a, b| (a.rank, a.phase).cmp(&(b.rank, b.phase)));
 
     let overhead: Vec<f64> = (0..n)
-        .map(|r| (wall - useful[r] - mpi_wait[r]).max(0.0))
+        .map(|r| (pop.wall_time - pop.per_rank_useful[r] - mpi_wait[r]).max(0.0))
         .collect();
-    let useful_total: f64 = useful.iter().sum();
-    let max_useful = useful.iter().fold(0.0f64, |a, &b| a.max(b));
-
     LostCycles {
-        wall,
+        wall: pop.wall_time,
         rows,
-        useful,
         mpi_wait,
         overhead,
-        parallel_efficiency: if wall > 0.0 { useful_total / (n as f64 * wall) } else { 1.0 },
-        load_balance: if max_useful > 0.0 {
-            useful_total / (n as f64 * max_useful)
-        } else {
-            1.0
-        },
-        comm_efficiency: if wall > 0.0 { max_useful / wall } else { 1.0 },
+        parallel_efficiency: pop.parallel_efficiency,
+        load_balance: pop.load_balance,
+        comm_efficiency: pop.comm_efficiency,
+        useful: pop.per_rank_useful,
     }
 }
 
@@ -382,15 +360,14 @@ mod tests {
 
     #[test]
     fn lost_cycles_matches_trace_stats_definitions() {
-        // PE here must equal trace_stats' parallel_efficiency (the POP
-        // rollup cross-check depends on shared definitions).
+        // Both read the run's one POP rollup.
         let mut t = Trace::new(2);
         t.record(0, Phase::Solver1, 0.0, 2.0);
         t.record(0, Phase::MpiComm, 2.0, 2.5);
         t.record(1, Phase::Solver1, 0.0, 2.5);
         let lc = lost_cycles(&t);
         let st = crate::stats::trace_stats(&t);
-        assert!((lc.parallel_efficiency - st.parallel_efficiency).abs() < 1e-15);
-        assert!((lc.wall - st.wall_time).abs() < 1e-15);
+        assert_eq!(lc.parallel_efficiency, st.parallel_efficiency);
+        assert_eq!(lc.wall, st.wall_time);
     }
 }

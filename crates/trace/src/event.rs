@@ -41,6 +41,25 @@ impl Phase {
         }
     }
 
+    /// Short machine key: the POP rollup's `per_phase` keys, the
+    /// report JSON and Prometheus `phase` labels, and the flight
+    /// recorder's phase names (code = index into [`Phase::ALL`]).
+    pub fn key(self) -> &'static str {
+        match self {
+            Phase::MpiComm => cfpd_telemetry::pop::MPI,
+            Phase::Assembly => "assembly",
+            Phase::Solver1 => "solver1",
+            Phase::Solver2 => "solver2",
+            Phase::Sgs => "sgs",
+            Phase::Particles => "particles",
+        }
+    }
+
+    /// Position in [`Phase::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// One-character tag for the ASCII timeline.
     pub fn tag(self) -> char {
         match self {

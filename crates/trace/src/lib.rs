@@ -27,4 +27,4 @@ pub use event::{
 };
 pub use export::{export_chrome, export_pcf, export_prv, export_row, export_summary};
 pub use render::{render_timeline, render_timeline_ranks};
-pub use stats::{trace_stats, TraceStats};
+pub use stats::{pop_report, trace_stats, PhaseTimes, TraceStats};

@@ -12,7 +12,7 @@ use cfpd_campaign::{run_campaign, CampaignSpec};
 use cfpd_serve::http::{http_call, http_call_raw};
 use cfpd_serve::{lint_prometheus, Daemon, ServeConfig, ServeFaultPlan};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn campaign_text(name: &str, steps: usize) -> String {
     format!(
@@ -43,19 +43,34 @@ fn submit(addr: &str, text: &str) -> u64 {
     v.get("job").and_then(|j| j.as_u64()).expect("job id in response")
 }
 
-/// Poll a job to a terminal state; returns its final status body.
-fn poll_terminal(addr: &str, job: u64) -> String {
-    for _ in 0..1500 {
+/// Wall-clock guard on any one wait: only a hung daemon reaches it.
+const WAIT_GUARD: Duration = Duration::from_secs(120);
+
+/// Block until the job's state is one of `states`; returns that status
+/// body. Sleeps on the supervisor feed (`GET /events?since=&wait_ms=`)
+/// instead of counting fixed sleeps, and confirms each wake with
+/// `GET /jobs/{id}`: the feed is bounded and drops its oldest events,
+/// so the status, not the event, is the truth.
+fn wait_for_state(addr: &str, job: u64, states: &[&str]) -> String {
+    let t0 = Instant::now();
+    let mut since = 0;
+    loop {
         let (code, body) = get(addr, &format!("/jobs/{job}"));
         assert_eq!(code, 200, "{body}");
-        for terminal in ["\"done\"", "\"failed\"", "\"cancelled\""] {
-            if body.contains(terminal) {
-                return body;
-            }
+        if states.iter().any(|s| body.contains(&format!("\"state\":\"{s}\""))) {
+            return body;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(t0.elapsed() < WAIT_GUARD, "job {job} not {states:?} after {WAIT_GUARD:?}: {body}");
+        let (code, feed) = get(addr, &format!("/events?since={since}&wait_ms=5000"));
+        assert_eq!(code, 200, "{feed}");
+        let last = cfpd_testkit::parse_json(&feed).ok().and_then(|d| d.get("last")?.as_u64());
+        since = last.unwrap_or(since);
     }
-    panic!("job {job} never reached a terminal state");
+}
+
+/// Block until a job is terminal; returns its final status body.
+fn poll_terminal(addr: &str, job: u64) -> String {
+    wait_for_state(addr, job, &["done", "failed", "cancelled"])
 }
 
 fn result_of(addr: &str, job: u64) -> String {
@@ -280,13 +295,7 @@ fn preemption_lets_a_short_job_jump_a_long_one_without_changing_bytes() {
 
     let long_job = submit(&addr, &long_text);
     // Wait until the long job actually holds the slot.
-    for _ in 0..500 {
-        let (_, body) = get(&addr, &format!("/jobs/{long_job}"));
-        if body.contains("\"running\"") {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for_state(&addr, long_job, &["running"]);
     let short_job = submit(&addr, &short_text);
 
     // The short job must finish while the long one is still live.
@@ -377,13 +386,7 @@ fn cancellation_is_honoured_at_segment_boundaries() {
     .unwrap();
     let addr = daemon.addr().to_string();
     let running = submit(&addr, &campaign_text("victim", 30));
-    for _ in 0..500 {
-        let (_, body) = get(&addr, &format!("/jobs/{running}"));
-        if body.contains("\"running\"") {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for_state(&addr, running, &["running"]);
     let queued = submit(&addr, &campaign_text("waiting", 30));
 
     let (code, body) = http_call(&addr, "DELETE", &format!("/jobs/{queued}"), "").unwrap();
@@ -489,13 +492,7 @@ fn drain_parks_running_jobs_and_a_restart_finishes_them() {
     .unwrap();
     let addr = daemon.addr().to_string();
     let job = submit(&addr, &text);
-    for _ in 0..500 {
-        let (_, body) = get(&addr, &format!("/jobs/{job}"));
-        if body.contains("\"running\"") {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for_state(&addr, job, &["running"]);
     let (code, body) = http_call(&addr, "POST", "/drain", "").unwrap();
     assert_eq!((code, body.as_str()), (200, "draining\n"));
     daemon.join(); // graceful: returns once workers have parked

@@ -1,20 +1,19 @@
 //! Telemetry subsystem acceptance gates.
 //!
-//! The online POP rollup maintained by `cfpd-telemetry` during a run
-//! must agree with the post-hoc analysis `cfpd-trace` performs on the
-//! very same run to within 1e-9 — both sides consume identical `(start,
-//! end)` pairs, so any drift means the mirroring in
-//! `cfpd_core::simulation` broke. And enabling telemetry must be
-//! invisible in the golden document: summaries go to stderr, never into
-//! the trace.
+//! The POP rollup of a run is computed from that run's own phase trace
+//! (`cfpd_trace::pop_report`); it must agree with an independent
+//! recomputation from the raw events to within 1e-9 and keep its
+//! efficiencies in (0, 1]. And enabling telemetry must be invisible in
+//! the golden document: summaries go to stderr, never into the trace.
 //!
-//! Telemetry state is process-global, so every test here serializes on
-//! one mutex and ends with telemetry disabled and reset.
+//! The counter registry is process-global, so the tests that read it
+//! serialize on one mutex and end with telemetry disabled and reset;
+//! the POP tests take it only to keep their runs out of those counts.
 
 use std::sync::Mutex;
 
 use cfpd_core::{golden_config, golden_trace, run_simulation};
-use cfpd_telemetry::pop;
+use cfpd_trace::pop_report;
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
@@ -32,87 +31,75 @@ fn with_telemetry_run<R>(f: impl FnOnce(&cfpd_core::SimulationResult) -> R) -> R
     out
 }
 
+/// A golden-config run for the POP tests. The rollup is the run's own
+/// and needs no lock; the run holds it only so its steps are not
+/// counted into a counter test's process-global registry.
+fn pop_run() -> cfpd_core::SimulationResult {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    run_simulation(&golden_config(), RANKS, 1, false)
+}
+
+/// Every efficiency of a real rollup lies in (0, 1].
+fn assert_efficiencies_in_range(report: &cfpd_telemetry::PopReport) {
+    for (name, v) in [
+        ("parallel_efficiency", report.parallel_efficiency),
+        ("load_balance", report.load_balance),
+        ("comm_efficiency", report.comm_efficiency),
+    ] {
+        assert!(v > 0.0 && v <= 1.0, "{name} = {v} outside (0, 1]");
+    }
+}
+
 #[test]
 fn pop_rollup_agrees_with_trace_stats_to_1e_9() {
-    with_telemetry_run(|r| {
-        let report = pop::report().expect("telemetry observed at least one phase");
-        assert_eq!(report.ranks, RANKS);
-        assert_eq!(report.dropped, 0, "no span may fall off the rank table");
+    let r = pop_run();
+    let report = pop_report(&r.trace);
+    assert_eq!(report.ranks, RANKS);
+    assert_efficiencies_in_range(&report);
+    let ts = cfpd_trace::trace_stats(&r.trace);
+    assert_eq!(ts.parallel_efficiency, report.parallel_efficiency);
 
-        let ts = cfpd_trace::trace_stats(&r.trace);
-        let mut useful = vec![0.0f64; r.trace.num_ranks.max(1)];
-        for e in &r.trace.events {
-            if e.phase != cfpd_trace::Phase::MpiComm {
-                useful[e.rank] += e.duration();
-            }
-        }
-        let lb = cfpd_trace::load_balance(&useful);
-        let max_useful = useful.iter().cloned().fold(0.0f64, f64::max);
-        let comm_e = if ts.wall_time > 0.0 && max_useful > 0.0 {
-            max_useful / ts.wall_time
+    // Independent oracle: the definitions recomputed from raw events.
+    let mut useful = vec![0.0f64; RANKS];
+    let mut mpi = 0.0f64;
+    let mut wall = 0.0f64;
+    for e in &r.trace.events {
+        wall = wall.max(e.t_end);
+        if e.phase == cfpd_trace::Phase::MpiComm {
+            mpi += e.duration();
         } else {
-            1.0
-        };
-
-        assert!(
-            (report.wall_time - ts.wall_time).abs() <= TOL,
-            "wall time: telemetry {} vs trace {}",
-            report.wall_time,
-            ts.wall_time
-        );
-        assert!(
-            (report.useful_time - ts.useful_time).abs() <= TOL,
-            "useful time: telemetry {} vs trace {}",
-            report.useful_time,
-            ts.useful_time
-        );
-        assert!(
-            (report.mpi_time - ts.mpi_time).abs() <= TOL,
-            "mpi time: telemetry {} vs trace {}",
-            report.mpi_time,
-            ts.mpi_time
-        );
-        assert!(
-            (report.parallel_efficiency - ts.parallel_efficiency).abs() <= TOL,
-            "parallel efficiency: telemetry {} vs trace {}",
-            report.parallel_efficiency,
-            ts.parallel_efficiency
-        );
-        assert!(
-            (report.load_balance - lb).abs() <= TOL,
-            "load balance: telemetry {} vs trace {}",
-            report.load_balance,
-            lb
-        );
-        assert!(
-            (report.comm_efficiency - comm_e).abs() <= TOL,
-            "comm efficiency: telemetry {} vs trace {}",
-            report.comm_efficiency,
-            comm_e
-        );
-        for (rank, (tel, tr)) in report.per_rank_useful.iter().zip(&useful).enumerate() {
-            assert!(
-                (tel - tr).abs() <= TOL,
-                "rank {rank} useful: telemetry {tel} vs trace {tr}"
-            );
+            useful[e.rank] += e.duration();
         }
-    });
+    }
+    let useful_total: f64 = useful.iter().sum();
+    let max_useful = useful.iter().cloned().fold(0.0f64, f64::max);
+    for (name, got, want) in [
+        ("wall time", report.wall_time, wall),
+        ("useful time", report.useful_time, useful_total),
+        ("mpi time", report.mpi_time, mpi),
+        ("parallel efficiency", report.parallel_efficiency, useful_total / (RANKS as f64 * wall)),
+        ("load balance", report.load_balance, cfpd_trace::load_balance(&useful)),
+        ("comm efficiency", report.comm_efficiency, max_useful / wall),
+    ] {
+        assert!((got - want).abs() <= TOL, "{name}: rollup {got} vs events {want}");
+    }
+    for (rank, (got, want)) in report.per_rank_useful.iter().zip(&useful).enumerate() {
+        assert!((got - want).abs() <= TOL, "rank {rank} useful: rollup {got} vs events {want}");
+    }
 }
 
 #[test]
 fn pop_identity_holds_in_the_rollup() {
-    with_telemetry_run(|_| {
-        let report = pop::report().expect("report available");
-        let recomposed = report.load_balance * report.comm_efficiency;
-        assert!(
-            (report.parallel_efficiency - recomposed).abs() <= TOL,
-            "PE {} != LB x CommE {}",
-            report.parallel_efficiency,
-            recomposed
-        );
-        assert!(report.parallel_efficiency > 0.0 && report.parallel_efficiency <= 1.0 + TOL);
-        assert!(report.load_balance > 0.0 && report.load_balance <= 1.0 + TOL);
-    });
+    let r = pop_run();
+    let report = pop_report(&r.trace);
+    let recomposed = report.load_balance * report.comm_efficiency;
+    assert!(
+        (report.parallel_efficiency - recomposed).abs() <= TOL,
+        "PE {} != LB x CommE {}",
+        report.parallel_efficiency,
+        recomposed
+    );
+    assert_efficiencies_in_range(&report);
 }
 
 #[test]
@@ -146,14 +133,15 @@ fn counters_reflect_the_run_shape() {
         // The run result and the counters describe the same universe.
         let c = r.census;
         assert!(c.active + c.deposited + c.escaped + c.lost > 0);
-        assert!(snap.pop.is_some(), "snapshot carries the POP rollup");
+        assert!(snap.pop.is_none(), "the process-wide snapshot carries no run's POP");
     });
 }
 
 #[test]
 fn snapshot_renders_to_both_surfaces() {
-    with_telemetry_run(|_| {
-        let snap = cfpd_telemetry::snapshot();
+    with_telemetry_run(|r| {
+        let mut snap = cfpd_telemetry::snapshot();
+        snap.pop = Some(pop_report(&r.trace));
         let table = snap.render_table();
         assert!(table.contains("== telemetry =="));
         assert!(table.contains("parallel_efficiency"));
